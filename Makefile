@@ -31,14 +31,17 @@ race:
 	$(GO) test -race ./internal/tensor/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
 
 # Native Go fuzzing smoke pass over the decoders that face untrusted input
-# (EasyList rules, HTML, the persistent-socket wire framing, the admin
-# control-plane request bodies). Each fuzzer runs for FUZZTIME; crashers are
-# written to the package's testdata/fuzz corpus and reproduced by `go test`.
+# (EasyList rules, HTML, the socket wire framing, the admin control-plane
+# request bodies, /classify frame bodies, verdict-cache snapshots). Each
+# fuzzer runs for FUZZTIME; crashers are written to the package's
+# testdata/fuzz corpus and reproduced by `go test`.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/easylist
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/dom
 	$(GO) test -run=NONE -fuzz=FuzzWireMsg -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzAdminRequest -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./cmd/percival-serve
+	$(GO) test -run=NONE -fuzz=FuzzRestoreCache -fuzztime=$(FUZZTIME) ./internal/serve
 
 # Fault-injection smoke: drives the fleet supervisor (eviction, redial,
 # hedging, local fallback) and the daemon's serving edge through flapping /

@@ -155,15 +155,15 @@ func BenchmarkServeRotation8x4(b *testing.B) { benchsuite.ServeRotation8x4(b) }
 func BenchmarkServeRotationPinned(b *testing.B) { benchsuite.ServeRotationPinned(b) }
 
 // BenchmarkServeRemote8x2 is the two-tier rotation benchmark: 2 dispatch
-// shards proxying every forward pass to two backend replicas over loopback
-// HTTP (engine.RemoteBackend). Its delta against BenchmarkServeRotation8x2
-// is the remote-dispatch proxy overhead.
+// shards proxying every forward pass to two backend replicas over the
+// loopback socket wire (engine.RemoteBackend), with the peers' verdict
+// caches cleared every window so no dedup probe hits. Its delta against
+// BenchmarkServeRotation8x2 is the cold remote-dispatch proxy overhead.
 func BenchmarkServeRemote8x2(b *testing.B) { benchsuite.ServeRemote8x2(b) }
 
-// BenchmarkServeRemoteWire8x2 is the persistent-socket transport benchmark:
-// the remote topology with the wire-v2 framed socket negotiated instead of
-// HTTP and hash-first dedup answering repeat creatives from the peers'
-// verdict caches. It gates the transport's contracts — bit-identical
+// BenchmarkServeRemoteWire8x2 is the cache-warm socket-wire benchmark: the
+// remote topology with hash-first dedup answering repeat creatives from the
+// peers' verdict caches. It gates the transport's contracts — bit-identical
 // verdicts, >=10x cache-warm wire-bytes cut, zero fail-open — and its delta
 // against BenchmarkServeRotation8x2 is the socket dispatch overhead.
 func BenchmarkServeRemoteWire8x2(b *testing.B) { benchsuite.ServeRemoteWire8x2(b) }

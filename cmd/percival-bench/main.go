@@ -96,10 +96,11 @@ type ServeResult struct {
 	ShardSweep []ShardPoint `json:"shard_sweep"`
 	// RemoteFP32FPS is the two-tier rotation workload: the same 2-shard
 	// configuration as the x2 shard-sweep point, with every forward pass
-	// proxied to one of two backend replicas over loopback HTTP.
+	// proxied to one of two backend replicas over the loopback socket wire,
+	// the peers' verdict caches cleared every window (cold: every
+	// creative's pixels travel).
 	RemoteFP32FPS float64 `json:"remote_fp32_frames_per_sec"`
-	// The persistent-socket row: the remote topology with the wire-v2
-	// framed transport negotiated instead of HTTP and hash-first dedup
+	// The cache-warm socket row: the remote topology with hash-first dedup
 	// answering repeat creatives from the peers' verdict caches.
 	// RemoteWireBytesRatio is cold-window over warm-window wire bytes
 	// (acceptance bound: >= 10x).

@@ -3,7 +3,7 @@
 // without a restart, and model rollouts run through the registry's
 // agreement-gated canary.
 //
-//	POST   /admin/peers      {"addr":"host:port"[,"transport":"..."]}
+//	POST   /admin/peers      {"addr":"host:port"}
 //	                         dial + fresh /modelz handshake, admit into the
 //	                         fleet (weighted router sees it immediately)
 //	DELETE /admin/peers/{id} drain the peer's in-flight chunks, then remove
@@ -97,8 +97,9 @@ func adminError(w http.ResponseWriter, status int, err error) {
 
 // addPeer dials the requested address with the daemon's peer knobs — the
 // same fresh /modelz handshake -peers performs at startup, so a peer that
-// is unreachable, resolution-mismatched, wire-incompatible or this daemon
-// itself is rejected before it ever sees traffic.
+// is unreachable, resolution-mismatched, wire-incompatible, running no
+// wire listener, or this daemon itself is rejected before it ever sees
+// traffic.
 func (a *adminAPI) addPeer(w http.ResponseWriter, r *http.Request) {
 	req, err := engine.DecodeAdminPeerRequest(r.Body)
 	if err != nil {
@@ -110,11 +111,7 @@ func (a *adminAPI) addPeer(w http.ResponseWriter, r *http.Request) {
 			"error": "daemon is not fronting a fleet (start with -peers to enable live membership)"})
 		return
 	}
-	opts := a.dialTmpl
-	if req.Transport != "" {
-		opts.Transport = req.Transport
-	}
-	rb, err := engine.NewRemote(req.Addr, opts)
+	rb, err := engine.NewRemote(req.Addr, a.dialTmpl)
 	if err != nil {
 		adminError(w, http.StatusBadGateway, err)
 		return

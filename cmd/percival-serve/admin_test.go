@@ -55,13 +55,7 @@ func TestAdminPeerLifecycle(t *testing.T) {
 	// three backend daemons; the third joins live via the admin API
 	peerURLs := make([]string, 3)
 	for i := range peerURLs {
-		rep := svc.Engine().Replicate()
-		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandler(nil, rep, svc.Threshold()))
-		ts := httptest.NewServer(mux)
-		t.Cleanup(ts.Close)
-		peerURLs[i] = ts.URL
+		peerURLs[i] = startWirePeer(t, svc, nil).URL
 	}
 
 	dial := engine.RemoteOptions{ExpectRes: svc.InputRes(), Timeout: 2 * time.Second, Retries: 2}
@@ -93,10 +87,17 @@ func TestAdminPeerLifecycle(t *testing.T) {
 	}
 	defer srv.Close()
 
+	// the front also serves the socket wire, as a -wire-listen daemon does,
+	// so pointing it at itself reaches the self-dial guard
 	instanceID := newInstanceID()
+	wire, wireAddr, err := listenWire("127.0.0.1:0", svc.Engine(), srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wire.Close()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /classify", classifyHandler(srv, reg, fleet))
-	mux.Handle("GET /modelz", engine.ModelzHandlerID(reg, svc.Engine(), svc.Threshold(), "", instanceID))
+	mux.Handle("GET /modelz", engine.ModelzHandlerID(reg, svc.Engine(), svc.Threshold(), wireAddr, instanceID))
 	mux.HandleFunc("GET /healthz", healthHandler(srv, reg, fleet.Name(), nil))
 	admin := &adminAPI{
 		token: token, reg: reg, fleet: fleet, srv: srv,
@@ -168,6 +169,17 @@ func TestAdminPeerLifecycle(t *testing.T) {
 		fmt.Sprintf(`{"addr":%q}`, strings.TrimPrefix(front.URL, "http://")))
 	if code != http.StatusBadRequest {
 		t.Fatalf("self-dial add: %d %v", code, body)
+	}
+
+	// a peer running no wire listener cannot join: the dial error names
+	// the flag it is missing
+	bareMux := http.NewServeMux()
+	bareMux.Handle("GET /modelz", engine.ModelzHandlerID(nil, svc.Engine(), svc.Threshold(), "", ""))
+	bare := httptest.NewServer(bareMux)
+	defer bare.Close()
+	code, body = adminReq(t, "POST", adminURL+"/peers", token, fmt.Sprintf(`{"addr":%q}`, bare.URL))
+	if code != http.StatusBadGateway || !strings.Contains(fmt.Sprint(body["error"]), "-wire-listen") {
+		t.Fatalf("listener-less peer add: %d %v, want 502 naming -wire-listen", code, body)
 	}
 
 	// live add of the third peer

@@ -7,10 +7,8 @@
 //	                      Content-Type: application/octet-stream); ?model=
 //	                      selects a registry backend for this request
 //	                      -> {"score":0.93,"ad":true,"status":"classified"}
-//	POST /classify/batch  length-prefixed raw-RGBA frame batch in, binary
-//	                      scores out: one forward pass per request — the
-//	                      wire a front daemon's engine.RemoteBackend rides
-//	GET  /modelz          engine/resolution handshake for remote proxies
+//	GET  /modelz          engine/resolution/wire-listener handshake for
+//	                      fronts dialing this daemon as a peer
 //	GET  /healthz         liveness + model/engine/shard info; on a -peers
 //	                      front also the fleet supervisor's per-peer rows
 //	                      (state, evictions, redials, hedge wins, latency)
@@ -31,22 +29,21 @@
 //	                                      # batch cap and shed deadline under
 //	                                      # overload (stage in /healthz)
 //	percival-serve -backend fp32 -int8    # quantize, but pin serving to FP32
-//	percival-serve -peers h1:8093,h2:8093 # front a self-healing fleet: shards
-//	                                      # dispatch to supervised remote
-//	                                      # replicas over /classify/batch,
-//	                                      # evicting/redialing dead peers and
-//	                                      # hedging slow ones (-evict-after,
-//	                                      # -redial-max, -hedge-quantile),
-//	                                      # falling back to the local model
-//	                                      # when no healthy peer remains
-//	percival-serve -wire-listen :8094     # also serve the persistent-socket
-//	                                      # wire (v2): fronts negotiate it via
-//	                                      # /modelz and keep one hot framed
-//	                                      # connection instead of HTTP posts,
-//	                                      # with hash-first dedup answered
-//	                                      # from the verdict cache
-//	percival-serve -peers h1:8093 -peer-transport http  # pin fronts to the
-//	                                      # v1 HTTP wire even if peers offer v2
+//	percival-serve -wire-listen :8094     # serve as a peer: listen for the
+//	                                      # socket wire and advertise it via
+//	                                      # /modelz; fronts keep one hot framed
+//	                                      # connection to it, with hash-first
+//	                                      # dedup answered from the verdict
+//	                                      # cache
+//	percival-serve -peers h1:8093,h2:8093 # front a self-healing fleet of
+//	                                      # -wire-listen peers: shards dispatch
+//	                                      # to supervised remote replicas over
+//	                                      # the socket wire, evicting/redialing
+//	                                      # dead peers and hedging slow ones
+//	                                      # (-evict-after, -redial-max,
+//	                                      # -hedge-quantile), falling back to
+//	                                      # the local model when no healthy
+//	                                      # peer remains
 //	percival-serve -peers ... -route weighted  # per-chunk least-loaded routing:
 //	                                      # every chunk goes to the peer with
 //	                                      # the best congestion-window headroom
@@ -114,7 +111,7 @@ func main() {
 		deadline    = flag.Duration("deadline", 500*time.Millisecond, "load-shed deadline (0 disables)")
 		cacheSize   = flag.Int("cache", 4096, "verdict cache entries (0 = default)")
 		cacheFile   = flag.String("cache-file", "", "verdict-cache snapshot path: loaded at startup, saved on shutdown")
-		peers       = flag.String("peers", "", "comma-separated peer percival-serve addresses (host:port); dispatch shards proxy to these supervised remote replicas instead of the local engine")
+		peers       = flag.String("peers", "", "comma-separated peer percival-serve HTTP addresses (host:port); dispatch shards proxy to these supervised remote replicas over the socket wire instead of the local engine (every peer must run -wire-listen)")
 		peerTimeout = flag.Duration("peer-timeout", 5*time.Second, "per-attempt timeout for remote peer calls")
 		peerRetries = flag.Int("peer-retries", 2, "retries per remote batch before failing over (0 = single attempt)")
 		evictAfter  = flag.Int("evict-after", 3, "consecutive chunk failures before a peer is evicted from the fleet")
@@ -122,9 +119,7 @@ func main() {
 		hedgeQ      = flag.Float64("hedge-quantile", 0.99, "latency quantile past which a chunk is hedged to a second peer (<=0 or >=1 disables)")
 		hedgeMax    = flag.Duration("hedge-max", 0, "ceiling on the quantile-derived hedge delay (0 = the peer chunk budget); pin near the latency SLO so hedges still fire when the fleet degrades")
 		windowMax   = flag.Int("window-max", 0, "cap on each peer's adaptive in-flight congestion window (CUBIC; 0 = default 64 chunks)")
-		wireListen  = flag.String("wire-listen", "", "also listen for the persistent-socket wire (v2) on this address and advertise it via /modelz (empty = HTTP wire only)")
-		peerTrans   = flag.String("peer-transport", "auto", "wire to each -peers replica: auto (best the peer offers), http (v1 POST per chunk), socket (require the v2 persistent socket)")
-		peerNoDedup = flag.Bool("peer-no-dedup", false, "disable the socket wire's hash-first dedup probes (measurement; scores are identical either way)")
+		wireListen  = flag.String("wire-listen", "", "listen for the socket wire on this address and advertise it via /modelz; required to serve as another daemon's -peers entry (empty = no peer serving)")
 		route       = flag.String("route", "static", "fleet dispatch policy: static (one peer pinned per shard lane) or weighted (per-chunk least-loaded by congestion-window headroom per unit latency EWMA)")
 		adminToken  = flag.String("admin-token", "", "enable the authenticated /admin control plane — live peer add/drain/remove and the model canary — with this bearer token (empty = disabled)")
 		drainWait   = flag.Duration("drain-timeout", 5*time.Second, "in-flight quiesce budget when DELETE /admin/peers/{id} drains a peer before removing it")
@@ -150,7 +145,7 @@ func main() {
 	// background (backoff capped at -redial-max), hedges tail-latency chunks
 	// past -hedge-quantile, and falls back to the local model when no
 	// healthy peer remains — so a dying fleet degrades to local scoring, not
-	// to score-0 fail-open. The local model keeps serving /classify/batch,
+	// to score-0 fail-open. The local model keeps serving the wire listener,
 	// /modelz and any ?model= request that names it (`local` below), so two
 	// fronts pointed at each other cannot proxy a batch in a cycle.
 	reg := svc.Backends()
@@ -165,7 +160,7 @@ func main() {
 	}
 	var fleet *engine.Fleet
 	if *peers != "" {
-		remotes, err := dialPeers(reg, *peers, svc.InputRes(), *peerTimeout, *peerRetries, *windowMax, *peerTrans, *peerNoDedup, instanceID)
+		remotes, err := dialPeers(reg, *peers, svc.InputRes(), *peerTimeout, *peerRetries, *windowMax, instanceID)
 		if err != nil {
 			log.Fatal("percival-serve: ", err)
 		}
@@ -239,32 +234,22 @@ func main() {
 		}
 	}
 
-	// The persistent-socket wire listener serves the same local backend as
-	// /classify/batch and answers hash probes straight from the serving
-	// verdict cache (serve.Server implements engine.VerdictCache), so a
-	// front's dedup hit and a local cache hit are the same entry. Binding
-	// before the /modelz mount lets the handshake advertise the concrete
-	// bound address (":0" included).
+	// The socket-wire listener scores on the local backend and answers hash
+	// probes straight from the serving verdict cache (serve.Server
+	// implements engine.VerdictCache), so a front's dedup hit and a local
+	// cache hit are the same entry. Binding before the /modelz mount lets
+	// the handshake advertise the concrete bound address (":0" included).
 	var wire *engine.WireServer
 	wireAddr := ""
 	if *wireListen != "" {
-		ln, err := net.Listen("tcp", *wireListen)
-		if err != nil {
+		if wire, wireAddr, err = listenWire(*wireListen, local, srv); err != nil {
 			log.Fatal("percival-serve: wire listener: ", err)
 		}
-		wire = engine.NewWireServer(engine.WireServerOptions{Backend: local, Cache: srv})
-		go func() {
-			if err := wire.Serve(ln); err != nil {
-				log.Printf("wire listener: %v", err)
-			}
-		}()
-		wireAddr = ln.Addr().String()
-		log.Printf("wire listener on %s (persistent-socket wire v2)", wireAddr)
+		log.Printf("wire listener on %s", wireAddr)
 	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /classify", classifyHandler(srv, reg, backend))
-	mux.Handle("POST /classify/batch", engine.BatchHandler(reg, local))
 	mux.Handle("GET /modelz", engine.ModelzHandlerID(reg, local, svc.Threshold(), wireAddr, instanceID))
 	mux.HandleFunc("GET /healthz", healthHandler(srv, reg, backend.Name(), wire))
 	mux.HandleFunc("GET /metrics", metricsHandler(srv, reg, fleet, wire))
@@ -282,8 +267,6 @@ func main() {
 				Retries:   *peerRetries,
 				ExpectRes: svc.InputRes(),
 				WindowMax: *windowMax,
-				Transport: *peerTrans,
-				NoDedup:   *peerNoDedup,
 			},
 		}
 		admin.mount(mux)
@@ -341,6 +324,23 @@ func main() {
 	<-done
 }
 
+// listenWire binds the socket-wire listener at addr and serves it in the
+// background, scoring on local and answering hash probes from srv's
+// verdict cache. It returns the bound address for /modelz to advertise.
+func listenWire(addr string, local engine.Backend, srv *serve.Server) (*engine.WireServer, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
+	wire := engine.NewWireServer(engine.WireServerOptions{Backend: local, Cache: srv})
+	go func() {
+		if err := wire.Serve(ln); err != nil {
+			log.Printf("wire listener: %v", err)
+		}
+	}()
+	return wire, ln.Addr().String(), nil
+}
+
 // pickBackend resolves the -backend flag against the classifier's registry:
 // "auto" takes the parity-gated default; a named engine must exist.
 func pickBackend(svc *core.Percival, name string) (engine.Backend, error) {
@@ -361,8 +361,10 @@ func pickBackend(svc *core.Percival, name string) (engine.Backend, error) {
 // same host spelled with and without a scheme) used to silently pin the
 // peer to two shard lanes, doubling its share of dispatch — and a peer
 // whose handshake identity matches this daemon is rejected outright: a
-// front proxying batches to itself is a dispatch cycle, never a fleet.
-func dialPeers(reg *engine.Registry, list string, res int, timeout time.Duration, retries int, windowMax int, transport string, noDedup bool, localID string) ([]*engine.RemoteBackend, error) {
+// front proxying batches to itself is a dispatch cycle, never a fleet. A
+// peer that advertises no wire listener is refused by the handshake check
+// (engine.NewRemote), with an error naming -wire-listen.
+func dialPeers(reg *engine.Registry, list string, res int, timeout time.Duration, retries int, windowMax int, localID string) ([]*engine.RemoteBackend, error) {
 	var remotes []*engine.RemoteBackend
 	seen := make(map[string]bool)
 	for _, addr := range strings.Split(list, ",") {
@@ -387,8 +389,6 @@ func dialPeers(reg *engine.Registry, list string, res int, timeout time.Duration
 			Retries:   retries,
 			ExpectRes: res,
 			WindowMax: windowMax,
-			Transport: transport,
-			NoDedup:   noDedup,
 		})
 		if err != nil {
 			return nil, err
@@ -576,7 +576,12 @@ func decodeFrame(r *http.Request, body []byte) (*imaging.Bitmap, error) {
 		if err != nil {
 			return nil, fmt.Errorf("raw frame needs integer ?h=")
 		}
-		if w <= 0 || h <= 0 || w*h*4 != len(body) {
+		// bound the size before multiplying: an unchecked w*h*4 can wrap
+		// to len(body) and hand the shard worker an impossible bitmap
+		if err := imaging.CheckFrameSize(w, h); err != nil {
+			return nil, fmt.Errorf("raw frame: %v", err)
+		}
+		if w*h*4 != len(body) {
 			return nil, fmt.Errorf("raw frame %dx%d does not match %d bytes", w, h, len(body))
 		}
 		b := imaging.NewBitmap(w, h)
@@ -593,8 +598,8 @@ func decodeFrame(r *http.Request, body []byte) (*imaging.Bitmap, error) {
 // metricsHandler renders the serve counters plus each shard replica's
 // engine counters — including Errors, the fail-open count that is the only
 // sign a remote peer is down (the service itself keeps answering) — and
-// the registry entries' counters, which carry the ?model= direct-path and
-// local /classify/batch traffic. A -peers front also exposes the fleet
+// the registry entries' counters, which carry the ?model= direct-path
+// traffic. A -peers front also exposes the fleet
 // supervisor: per-peer state/eviction/redial/hedge counters and latency
 // EWMAs, plus the fleet-wide hedge and local-fallback totals.
 func metricsHandler(srv *serve.Server, reg *engine.Registry, fleet *engine.Fleet, wire *engine.WireServer) http.HandlerFunc {
@@ -615,11 +620,6 @@ func metricsHandler(srv *serve.Server, reg *engine.Registry, fleet *engine.Fleet
 				fmt.Fprintf(w, "percival_engine_backend_errors_total{backend=%q} %d\n", name, st.Errors)
 			}
 		}
-		hw := engine.WireHTTPStats()
-		fmt.Fprintf(w, "percival_wire_http_requests_total %d\n", hw.Requests)
-		fmt.Fprintf(w, "percival_wire_http_bytes_in_total %d\n", hw.BytesIn)
-		fmt.Fprintf(w, "percival_wire_http_bytes_out_total %d\n", hw.BytesOut)
-		fmt.Fprintf(w, "percival_wire_http_write_errors_total %d\n", hw.WriteErrors)
 		if wire != nil {
 			ws := wire.Stats()
 			fmt.Fprintf(w, "percival_wire_sock_conns_total %d\n", ws.Conns)
@@ -659,7 +659,7 @@ func metricsHandler(srv *serve.Server, reg *engine.Registry, fleet *engine.Fleet
 
 // engineErrors sums every fail-open counter the daemon can reach: the
 // shard replicas (batched dispatch) and the registry entries (?model=
-// direct path, local batch endpoint). The two sets never share counters —
+// direct path). The two sets never share counters —
 // Replicate starts fresh ones.
 func engineErrors(srv *serve.Server, reg *engine.Registry) int64 {
 	var errs int64

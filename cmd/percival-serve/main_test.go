@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,13 +38,51 @@ func testFrontend(t testing.TB, svc *core.Percival, srv *serve.Server, reg *engi
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /classify", classifyHandler(srv, reg, backend))
-	mux.Handle("POST /classify/batch", engine.BatchHandler(reg, backend))
-	mux.Handle("GET /modelz", engine.ModelzHandler(reg, backend, svc.Threshold()))
+	mux.Handle("GET /modelz", engine.ModelzHandlerID(reg, backend, svc.Threshold(), "", ""))
 	mux.HandleFunc("GET /healthz", healthHandler(srv, reg, backend.Name(), nil))
 	mux.HandleFunc("GET /metrics", metricsHandler(srv, reg, fleet, nil))
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// wirePeer is a backend daemon as `percival-serve -wire-listen` mounts it:
+// the socket-wire listener plus the /modelz handshake advertising it.
+type wirePeer struct {
+	URL  string // the -peers address
+	wire *engine.WireServer
+	http *httptest.Server
+}
+
+// Close takes both of the peer's surfaces down.
+func (p *wirePeer) Close() {
+	p.wire.Close()
+	p.http.Close()
+}
+
+// startWirePeer starts a wire peer scoring on a fresh replica of svc's
+// engine. With a non-nil inj both surfaces take its faults, so a
+// blackholed peer also blackholes the handshake a fleet redials with.
+func startWirePeer(t testing.TB, svc *core.Percival, inj *faultinject.Injector) *wirePeer {
+	t.Helper()
+	rep := svc.Engine().Replicate()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var modelz http.Handler = engine.ModelzHandlerID(nil, rep, svc.Threshold(), ln.Addr().String(), "")
+	if inj != nil {
+		ln = faultinject.Listener(inj, ln)
+		modelz = faultinject.Middleware(inj, modelz)
+	}
+	p := &wirePeer{wire: engine.NewWireServer(engine.WireServerOptions{Backend: rep})}
+	go p.wire.Serve(ln)
+	mux := http.NewServeMux()
+	mux.Handle("GET /modelz", modelz)
+	p.http = httptest.NewServer(mux)
+	p.URL = p.http.URL
+	t.Cleanup(p.Close)
+	return p
 }
 
 func postFrame(t testing.TB, url string, contentType string, body []byte) (*http.Response, verdict) {
@@ -120,25 +161,19 @@ func TestDecodeFrameRejectsMalformedDims(t *testing.T) {
 }
 
 // TestTwoTierMatchesInProcessDispatch is the acceptance anchor: a front
-// daemon whose dispatch shards proxy to two backend daemons over
-// /classify/batch must answer /classify with verdicts identical to
-// in-process dispatch on the same corpus — and fail open when the peers go
-// down.
+// daemon whose dispatch shards proxy to two backend daemons over the
+// socket wire must answer /classify with verdicts identical to in-process
+// dispatch on the same corpus — and fail open when the peers go down.
 func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 	svc := testService(t)
 	reg := svc.Backends()
 
 	// two backend daemons sharing the front's weights (the deployment would
 	// load the same .pcvl on every tier)
-	peers := make([]*httptest.Server, 2)
+	peers := make([]*wirePeer, 2)
 	remotes := make([]*engine.RemoteBackend, 2)
 	for i := range peers {
-		rep := svc.Engine().Replicate()
-		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandler(nil, rep, svc.Threshold()))
-		peers[i] = httptest.NewServer(mux)
-		defer peers[i].Close()
+		peers[i] = startWirePeer(t, svc, nil)
 		rb, err := engine.NewRemote(peers[i].URL, engine.RemoteOptions{
 			ExpectRes: svc.InputRes(),
 			Timeout:   2 * time.Second,
@@ -252,28 +287,41 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchEndpointRejectsGarbage: the wire endpoint must 400 on a
-// non-batch body rather than 500 or hang.
-func TestClassifyBatchEndpointRejectsGarbage(t *testing.T) {
+// TestWireListenerRejectsGarbage: the daemon's wire listener must drop a
+// connection whose stream is not wire framing rather than crash or hang,
+// keep serving well-formed clients afterwards, and be advertised by
+// /modelz.
+func TestWireListenerRejectsGarbage(t *testing.T) {
 	svc := testService(t)
 	srv, err := serve.New(svc, serve.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	front := testFrontend(t, svc, srv, svc.Backends(), svc.Engine(), nil)
-	resp, err := http.Post(front.URL+"/classify/batch", "application/octet-stream",
-		bytes.NewReader([]byte("not a frame batch")))
+	wire, wireAddr, err := listenWire("127.0.0.1:0", svc.Engine(), srv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage batch status %d, want 400", resp.StatusCode)
-	}
+	defer wire.Close()
+	mux := http.NewServeMux()
+	mux.Handle("GET /modelz", engine.ModelzHandlerID(svc.Backends(), svc.Engine(), svc.Threshold(), wireAddr, ""))
+	peer := httptest.NewServer(mux)
+	defer peer.Close()
 
-	// and the handshake endpoint reports the serving engine
-	hresp, err := http.Get(front.URL + "/modelz")
+	conn, err := net.Dial("tcp", wireAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(conn, "not a wire message, nowhere near one")
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("garbage stream: read %v, want EOF (listener must drop the conn)", err)
+	}
+	conn.Close()
+
+	// the handshake reports the serving engine and the bound listener, and
+	// a front dialing it still gets real verdicts
+	hresp, err := http.Get(peer.URL + "/modelz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,8 +330,58 @@ func TestClassifyBatchEndpointRejectsGarbage(t *testing.T) {
 	if err := json.NewDecoder(hresp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Engine != svc.Engine().Name() || info.InputRes != svc.InputRes() {
-		t.Fatalf("modelz %+v, want engine %q res %d", info, svc.Engine().Name(), svc.InputRes())
+	if info.Engine != svc.Engine().Name() || info.InputRes != svc.InputRes() || info.WireAddr != wireAddr {
+		t.Fatalf("modelz %+v, want engine %q res %d wire %s", info, svc.Engine().Name(), svc.InputRes(), wireAddr)
+	}
+	rb, err := engine.NewRemote(peer.URL, engine.RemoteOptions{ExpectRes: svc.InputRes(), Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	f := synth.SampleFrames(37, 1)
+	var got [1]float64
+	rb.InferBatchInto(f, got[:])
+	if want := svc.Classify(f[0]); got[0] != want || rb.Stats().Errors != 0 {
+		t.Fatalf("wire verdict %v (errors %d), want %v", got[0], rb.Stats().Errors, want)
+	}
+}
+
+// TestClassifyRejectsWrappingRawDims: regression for the one-request
+// crash. w=2^62, h=1 makes w*h*4 wrap to 0, which matched the empty body;
+// the shard worker then panicked resizing a 2^62-wide bitmap with no
+// pixels and took the daemon down. The request must get a 400, and the
+// daemon must still serve afterwards.
+func TestClassifyRejectsWrappingRawDims(t *testing.T) {
+	svc := testService(t)
+	srv, err := serve.New(svc, serve.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	front := testFrontend(t, svc, srv, svc.Backends(), svc.Engine(), nil)
+	resp, _ := postFrame(t, front.URL+"/classify?w=4611686018427387904&h=1", "application/octet-stream", nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("wrapping dims: status %d, want 400", resp.StatusCode)
+	}
+	f := synth.SampleFrames(39, 1)[0]
+	resp, v := postFrame(t, fmt.Sprintf("%s/classify?w=%d&h=%d", front.URL, f.W, f.H), "application/octet-stream", f.Pix)
+	if resp.StatusCode != http.StatusOK || v.Score != svc.Classify(f) {
+		t.Fatalf("after the rejected request: status %d verdict %+v", resp.StatusCode, v)
+	}
+}
+
+// TestDialPeersNeedsWireListener: at boot, a -peers entry whose handshake
+// advertises no wire listener is refused with an error naming the flag the
+// peer is missing.
+func TestDialPeersNeedsWireListener(t *testing.T) {
+	svc := testService(t)
+	mux := http.NewServeMux()
+	mux.Handle("GET /modelz", engine.ModelzHandlerID(nil, svc.Engine(), svc.Threshold(), "", ""))
+	bare := httptest.NewServer(mux)
+	defer bare.Close()
+	_, err := dialPeers(svc.Backends(), bare.URL, svc.InputRes(), time.Second, 0, 0, "")
+	if err == nil || !strings.Contains(err.Error(), "-wire-listen") {
+		t.Fatalf("listener-less peer: err %v, want a rejection naming -wire-listen", err)
 	}
 }
 
@@ -336,21 +434,15 @@ func TestChaosSmokeZeroFailOpen(t *testing.T) {
 	svc := testService(t)
 	reg := svc.Backends()
 
-	peers := make([]*httptest.Server, 2)
 	remotes := make([]*engine.RemoteBackend, 2)
 	var flap *faultinject.Injector
-	for i := range peers {
-		rep := svc.Engine().Replicate()
-		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandler(nil, rep, svc.Threshold()))
+	for i := range remotes {
 		inj := faultinject.NewInjector(int64(i))
-		peers[i] = httptest.NewServer(faultinject.Middleware(inj, mux))
-		defer peers[i].Close()
+		peer := startWirePeer(t, svc, inj)
 		if i == 1 {
 			flap = inj
 		}
-		rb, err := engine.NewRemote(peers[i].URL, engine.RemoteOptions{
+		rb, err := engine.NewRemote(peer.URL, engine.RemoteOptions{
 			ExpectRes: svc.InputRes(),
 			Timeout:   200 * time.Millisecond,
 			Retries:   0,

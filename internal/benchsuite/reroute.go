@@ -2,8 +2,6 @@ package benchsuite
 
 import (
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,15 +51,10 @@ func ServeReroute8x2(b *testing.B) {
 	injs := make([]*faultinject.Injector, nPeers)
 	urls := make([]string, nPeers)
 	for i := range urls {
-		rep := svc.Engine().Replicate()
-		rep.Warm(16)
-		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandler(nil, rep, svc.Threshold()))
 		injs[i] = faultinject.NewInjector(int64(i + 1))
-		ts := httptest.NewServer(faultinject.Middleware(injs[i], mux))
-		defer ts.Close()
-		urls[i] = ts.URL
+		u, stop := startWirePeer(b, svc, nil, injs[i])
+		defer stop()
+		urls[i] = u
 	}
 	injs[0].Set(faultinject.Fault{Latency: 100 * time.Millisecond, LatencyRate: 1.0})
 
@@ -136,7 +129,7 @@ func ServeReroute8x2(b *testing.B) {
 		failf(b, "%v", err)
 	}
 	staticSrv.Warm()
-	runWindow(staticSrv, false) // warm pools, arenas, HTTP connections
+	runWindow(staticSrv, false) // warm pools, arenas, socket connections
 	staticStart := time.Now()
 	for i := 0; i < b.N; i++ {
 		runWindow(staticSrv, true)

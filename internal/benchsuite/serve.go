@@ -216,27 +216,54 @@ func ServeRotationPinned(b *testing.B) {
 	serveRotationOpts(b, opts, false)
 }
 
+// startWirePeer stands up one in-process peer the way `percival-serve
+// -wire-listen` mounts it: a socket-wire listener scoring on a warm replica
+// of svc's engine and answering probes from cache (nil for none), plus the
+// /modelz handshake advertising it. With a non-nil inj both surfaces take
+// its faults, so a blackholed peer also blackholes the handshake its fleet
+// redials with. It returns the peer's handshake URL and its stop func.
+func startWirePeer(b *testing.B, svc *core.Percival, cache engine.VerdictCache, inj *faultinject.Injector) (string, func()) {
+	rep := svc.Engine().Replicate()
+	rep.Warm(16)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		failf(b, "wire listener: %v", err)
+	}
+	var modelz http.Handler = engine.ModelzHandlerID(nil, rep, svc.Threshold(), ln.Addr().String(), "")
+	if inj != nil {
+		ln = faultinject.Listener(inj, ln)
+		modelz = faultinject.Middleware(inj, modelz)
+	}
+	ws := engine.NewWireServer(engine.WireServerOptions{Backend: rep, Cache: cache})
+	go ws.Serve(ln)
+	mux := http.NewServeMux()
+	mux.Handle("GET /modelz", modelz)
+	ts := httptest.NewServer(mux)
+	return ts.URL, func() {
+		ws.Close()
+		ts.Close()
+	}
+}
+
 // ServeRemote8x2 is the two-tier counterpart of ServeRotation8x2: the same
 // rotation workload at the same concurrency and shard count, but every
-// forward pass is proxied to one of two backend percival-serve replicas
-// over loopback HTTP (engine.RemoteBackend riding /classify/batch). The
-// delta against ServeRotation8x2 is the measured proxy overhead — frame
-// encode, HTTP round trip, score decode — that PERFORMANCE.md's "Remote
-// backends" section tracks.
+// forward pass is proxied to one of two backend replicas over the loopback
+// socket wire (engine.RemoteBackend). The peers' verdict caches are cleared
+// every window, so no dedup probe hits: every creative's pixels cross the
+// wire, and the delta against ServeRotation8x2 is the measured cold proxy
+// overhead — probe, pixel write, socket round trip, score decode — that
+// PERFORMANCE.md's "Remote backends" section tracks.
 func ServeRemote8x2(b *testing.B) {
 	svc := PaperService(false)
 	remotes := make([]*engine.RemoteBackend, 2)
+	caches := make([]*engine.VerdictMap, len(remotes))
 	for i := range remotes {
-		rep := svc.Engine().Replicate()
-		rep.Warm(16)
-		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandler(nil, rep, svc.Threshold()))
-		ts := httptest.NewServer(mux)
-		defer ts.Close()
-		rb, err := engine.NewRemote(ts.URL, engine.RemoteOptions{ExpectRes: svc.InputRes()})
+		caches[i] = engine.NewVerdictMap(0)
+		u, stop := startWirePeer(b, svc, caches[i], nil)
+		defer stop()
+		rb, err := engine.NewRemote(u, engine.RemoteOptions{ExpectRes: svc.InputRes()})
 		if err != nil {
-			b.Fatal(err)
+			failf(b, "dial wire peer: %v", err)
 		}
 		remotes[i] = rb
 	}
@@ -269,10 +296,21 @@ func ServeRemote8x2(b *testing.B) {
 		}
 		wg.Wait()
 	}
-	runWindow() // warm pools, arenas and HTTP connections
+	deduped := func() int64 {
+		var n int64
+		for _, rb := range remotes {
+			n += rb.TransportStats().FramesDedup
+		}
+		return n
+	}
+	runWindow() // warm pools, arenas and socket connections
+	warmDedup := deduped()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv.ResetCache()
+		for _, c := range caches {
+			c.Reset()
+		}
 		runWindow()
 	}
 	b.StopTimer()
@@ -283,14 +321,16 @@ func ServeRemote8x2(b *testing.B) {
 	if errs > 0 {
 		failf(b, "remote dispatch failed open %d times during the benchmark", errs)
 	}
+	if n := deduped() - warmDedup; n != 0 {
+		failf(b, "%d frames answered by a dedup probe in a cold window", n)
+	}
 	reportFPS(b, int64(b.N)*ServeConcurrency*serveRotationDistinct)
 }
 
-// ServeRemoteWire8x2 is the persistent-socket counterpart of ServeRemote8x2:
-// the same rotation workload, shard count and two backend replicas, but the
-// proxies negotiate the wire-v2 socket transport — one hot framed connection
-// per peer with hash-first dedup answered from each peer's verdict cache.
-// The timed loop runs cache-warm (the rotation reality: every window re-sees
+// ServeRemoteWire8x2 is the cache-warm counterpart of ServeRemote8x2: the
+// same rotation workload, shard count and two backend replicas over the
+// socket wire, but the peers keep their verdict caches, so hash-first dedup
+// answers from them. The timed loop runs cache-warm (the rotation reality: every window re-sees
 // the same 16 creatives the peers already scored), so the headline measures
 // the probe-hit fast path. Before timing, the row hard-asserts the
 // transport's two contracts: verdicts bit-identical to in-process scoring,
@@ -299,26 +339,11 @@ func ServeRemoteWire8x2(b *testing.B) {
 	svc := PaperService(false)
 	remotes := make([]*engine.RemoteBackend, 2)
 	for i := range remotes {
-		rep := svc.Engine().Replicate()
-		rep.Warm(16)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			failf(b, "wire listener: %v", err)
-		}
-		ws := engine.NewWireServer(engine.WireServerOptions{Backend: rep, Cache: engine.NewVerdictMap(0)})
-		go ws.Serve(ln)
-		defer ws.Close()
-		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandlerWire(nil, rep, svc.Threshold(), ln.Addr().String()))
-		ts := httptest.NewServer(mux)
-		defer ts.Close()
-		rb, err := engine.NewRemote(ts.URL, engine.RemoteOptions{ExpectRes: svc.InputRes()})
+		u, stop := startWirePeer(b, svc, engine.NewVerdictMap(0), nil)
+		defer stop()
+		rb, err := engine.NewRemote(u, engine.RemoteOptions{ExpectRes: svc.InputRes()})
 		if err != nil {
 			failf(b, "dial wire peer: %v", err)
-		}
-		if kind := rb.TransportStats().Kind; kind != "socket" {
-			failf(b, "negotiated %s transport, want socket", kind)
 		}
 		remotes[i] = rb
 	}
@@ -463,18 +488,13 @@ func ServeChaos8x2(b *testing.B) {
 	injs := make([]*faultinject.Injector, nPeers)
 	remotes := make([]*engine.RemoteBackend, nPeers)
 	for i := range remotes {
-		rep := svc.Engine().Replicate()
-		rep.Warm(16)
-		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandler(nil, rep, svc.Threshold()))
 		injs[i] = faultinject.NewInjector(int64(i + 1))
-		ts := httptest.NewServer(faultinject.Middleware(injs[i], mux))
-		defer ts.Close()
+		u, stop := startWirePeer(b, svc, nil, injs[i])
+		defer stop()
 		// The per-attempt budget must clear a full 16-frame paper-scale
 		// forward pass (~0.5s) with contention headroom, or healthy peers
 		// time out and get evicted alongside the blackholed one.
-		rb, err := engine.NewRemote(ts.URL, engine.RemoteOptions{
+		rb, err := engine.NewRemote(u, engine.RemoteOptions{
 			ExpectRes: svc.InputRes(),
 			Timeout:   2 * time.Second,
 			Retries:   0,
@@ -539,7 +559,7 @@ func ServeChaos8x2(b *testing.B) {
 		wg.Wait()
 	}
 
-	runWindow(nil) // warm pools, arenas, HTTP connections, latency EWMAs
+	runWindow(nil) // warm pools, arenas, socket connections, latency EWMAs
 
 	// phase 1: healthy fleet — the p99 baseline, same window count as the
 	// measured chaos phase
@@ -626,15 +646,10 @@ func ServeOverload8x2(b *testing.B) {
 	injs := make([]*faultinject.Injector, nPeers)
 	remotes := make([]*engine.RemoteBackend, nPeers)
 	for i := range remotes {
-		rep := svc.Engine().Replicate()
-		rep.Warm(16)
-		mux := http.NewServeMux()
-		mux.Handle("POST /classify/batch", engine.BatchHandler(nil, rep))
-		mux.Handle("GET /modelz", engine.ModelzHandler(nil, rep, svc.Threshold()))
 		injs[i] = faultinject.NewInjector(int64(i + 1))
-		ts := httptest.NewServer(faultinject.Middleware(injs[i], mux))
-		defer ts.Close()
-		rb, err := engine.NewRemote(ts.URL, engine.RemoteOptions{
+		u, stop := startWirePeer(b, svc, nil, injs[i])
+		defer stop()
+		rb, err := engine.NewRemote(u, engine.RemoteOptions{
 			ExpectRes: svc.InputRes(),
 			Timeout:   2 * time.Second,
 			Retries:   0,
@@ -709,7 +724,7 @@ func ServeOverload8x2(b *testing.B) {
 		wg.Wait()
 	}
 
-	runWindow() // warm pools, arenas, HTTP connections, latency EWMAs
+	runWindow() // warm pools, arenas, socket connections, latency EWMAs
 
 	// phase 1: closed-loop healthy baseline — the distinct-frame
 	// classification capacity the goodput gate (and the 2x offered load) is

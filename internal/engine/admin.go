@@ -23,11 +23,9 @@ const adminMaxBody = 64 << 10
 // AdminPeerRequest is the POST /admin/peers body: dial this address and
 // admit it into the fleet.
 type AdminPeerRequest struct {
-	// Addr is the peer address ("host:port" or a full http URL).
+	// Addr is the peer's handshake address ("host:port" or a full http
+	// URL); the peer must run a wire listener (-wire-listen).
 	Addr string `json:"addr"`
-	// Transport optionally pins the wire ("auto", "http", "socket");
-	// empty negotiates like -peer-transport.
-	Transport string `json:"transport,omitempty"`
 }
 
 // DecodeAdminPeerRequest strictly decodes and validates a peer-add body.
@@ -46,11 +44,6 @@ func DecodeAdminPeerRequest(r io.Reader) (AdminPeerRequest, error) {
 	}
 	if u, err := url.Parse(addr); err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
 		return AdminPeerRequest{}, fmt.Errorf("engine: admin peer request: invalid addr %q", req.Addr)
-	}
-	switch req.Transport {
-	case "", "auto", "http", "socket":
-	default:
-		return AdminPeerRequest{}, fmt.Errorf("engine: admin peer request: transport %q (want auto, http or socket)", req.Transport)
 	}
 	return req, nil
 }

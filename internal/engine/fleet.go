@@ -216,8 +216,8 @@ type PeerHealthInfo struct {
 	WindowInFlight int     `json:"window_in_flight"`
 	WindowLosses   int64   `json:"window_losses"`
 	RTOMS          float64 `json:"rto_ms"`
-	// negotiated-transport state (see TransportStats); the byte counters
-	// make the dedup tier's wire savings visible per peer
+	// socket-wire state (see TransportStats); the byte counters make the
+	// dedup tier's wire savings visible per peer
 	Transport      string `json:"transport"`
 	WireBytesOut   int64  `json:"wire_bytes_out"`
 	WireBytesIn    int64  `json:"wire_bytes_in"`
@@ -632,8 +632,8 @@ func (f *Fleet) inferBatch(lane int, frames []*imaging.Bitmap, out []float64, ba
 func (f *Fleet) dispatchChunk(lane int, frames []*imaging.Bitmap, out []float64) bool {
 	peers := f.peerList()
 	// one wireChunk per dispatch, shared by every failover try and hedge
-	// arm: each wire encoding (HTTP body, content keys) is computed at most
-	// once no matter how many peers or transports see the chunk
+	// arm: the content keys are computed at most once no matter how many
+	// peers see the chunk
 	chunk := f.chunks.get(frames)
 	defer f.chunks.put(chunk)
 
@@ -864,9 +864,12 @@ func (f *Fleet) redial(p *fleetPeer) {
 		p.state.Store(int32(PeerRedialing))
 		p.redials.Inc()
 		probeStart := time.Now()
-		info, err := p.b.handshake(p.b.modelzURL)
+		info, err := p.b.handshake()
 		probeRTT := time.Since(probeStart)
-		if err == nil && p.b.tr.compatible(info) && info.InputRes == p.b.res {
+		if err == nil {
+			err = checkHandshake(info, p.b.res)
+		}
+		if err == nil {
 			if p.gone.Load() {
 				return
 			}
@@ -884,13 +887,6 @@ func (f *Fleet) redial(p *fleetPeer) {
 			p.state.Store(int32(PeerHealthy))
 			log.Printf("engine: fleet re-admitted %s", p.b.Peer())
 			return
-		}
-		if err == nil {
-			// the transport's own compatibility check failed: the peer came
-			// back speaking a wire this backend's negotiated transport
-			// cannot ride (e.g. socket peer restarted HTTP-only)
-			err = fmt.Errorf("handshake wire v%d addr %q res %d incompatible with %s transport (res %d)",
-				info.WireVersion, info.WireAddr, info.InputRes, p.b.tr.Kind(), p.b.res)
 		}
 		p.state.Store(int32(PeerEvicted))
 		log.Printf("engine: fleet redial %s failed (next in ~%v): %v", p.b.Peer(), backoff*2, err)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -12,17 +11,14 @@ import (
 	"percival/internal/synth"
 )
 
-// newFaultyPeer stands up a peer wire surface behind a fault injector, so
-// tests can flip it between healthy, slow, erroring and blackholed while a
-// fleet is dispatching to it.
+// newFaultyPeer stands up a wire peer (no verdict cache, so every chunk's
+// pixels travel) behind a fault injector, so tests can flip it between
+// healthy, slow, erroring and blackholed while a fleet is dispatching to
+// it.
 func newFaultyPeer(t testing.TB, def Backend) (*httptest.Server, *faultinject.Injector) {
 	t.Helper()
 	inj := faultinject.NewInjector(1)
-	mux := http.NewServeMux()
-	mux.Handle("POST /classify/batch", BatchHandler(nil, def))
-	mux.Handle("GET /modelz", ModelzHandler(nil, def, 0.5))
-	ts := httptest.NewServer(faultinject.Middleware(inj, mux))
-	t.Cleanup(ts.Close)
+	ts, _ := newWirePeer(t, def, nil, inj)
 	return ts, inj
 }
 

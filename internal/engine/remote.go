@@ -1,11 +1,12 @@
 package engine
 
-// RemoteBackend proxies InferBatchInto to another percival-serve over HTTP,
-// so one daemon can front a fleet of model processes: the front keeps the
-// serving edge (decode, batching, verdict cache, shedding) and the peers
-// keep the arenas and the weights. It is an ordinary Backend — serve shards
-// replicate it exactly like the in-process engines — and it rides the wire
-// surface defined in remotehttp.go.
+// RemoteBackend proxies InferBatchInto to another percival-serve over the
+// socket wire (sockwire.go), so one daemon can front a fleet of model
+// processes: the front keeps the serving edge (decode, batching, verdict
+// cache, shedding) and the peers keep the arenas and the weights. It is an
+// ordinary Backend — serve shards replicate it exactly like the in-process
+// engines. The only HTTP request it sends is the GET /modelz handshake
+// (modelz.go).
 //
 // Failure semantics are fail-open: classification guards rendering, so a
 // peer that cannot be reached within the retry budget must never block or
@@ -32,7 +33,7 @@ import (
 // RemoteOptions tunes a RemoteBackend. The zero value gets defaults from
 // NewRemote.
 type RemoteOptions struct {
-	// Timeout bounds each HTTP attempt, handshake included (default 5s).
+	// Timeout bounds each attempt, handshake included (default 5s).
 	Timeout time.Duration
 	// Retries is how many times a failed batch attempt is re-sent before
 	// the chunk fails open. The zero value means no retries — the value
@@ -48,33 +49,16 @@ type RemoteOptions struct {
 	// a guaranteed timeout.
 	RetryBackoff    time.Duration
 	RetryBackoffMax time.Duration
-	// Model selects a named backend on the peer (?model=); empty serves
-	// the peer's default.
-	Model string
 	// ExpectRes, when non-zero, rejects a peer whose input resolution
 	// differs — the proxy's frames would be pre-processed for the wrong
 	// network.
 	ExpectRes int
-	// Client overrides the HTTP client. Replicas share their parent's
-	// client, so a fleet of shard replicas reuses one connection pool.
-	Client *http.Client
 	// WindowMax caps the peer's adaptive in-flight congestion window
 	// (default 64 chunks). The window starts small, grows CUBIC-style on
 	// RTT-sample success, and backs off multiplicatively on timeouts and
 	// hedge fires — see CubicWindow. All replicas of one backend share one
 	// window, so every lane sees one congestion picture per peer.
 	WindowMax int
-	// Transport picks the wire: "http" forces the v1 POST-per-chunk wire,
-	// "socket" requires the v2 persistent-socket wire (dial fails if the
-	// peer does not advertise it), and "auto" (or empty) takes the best
-	// wire the peer's handshake supports. A Model selection always rides
-	// HTTP: the socket wire serves the peer's default backend only.
-	Transport string
-	// NoDedup disables the socket wire's hash-first probe tier: every
-	// frame's pixels cross the wire even when the peer's verdict cache
-	// already knows the answer. For measurement; dedup never changes
-	// scores (the probe key is an exact content hash).
-	NoDedup bool
 }
 
 func (o RemoteOptions) withDefaults() RemoteOptions {
@@ -93,28 +77,14 @@ func (o RemoteOptions) withDefaults() RemoteOptions {
 	if o.WindowMax <= 0 {
 		o.WindowMax = windowDefaultMax
 	}
-	if o.Client == nil {
-		// net/http's DefaultMaxIdleConnsPerHost is 2: with a congestion
-		// window of dozens of in-flight chunks to one peer, every burst
-		// would churn fresh TCP connections and then close all but two.
-		// Size the idle pool to the window so a full window's connections
-		// survive between bursts.
-		o.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        4 * o.WindowMax,
-			MaxIdleConnsPerHost: o.WindowMax,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 	return o
 }
 
 // RemoteBackend is a Backend whose forward passes run on a peer
-// percival-serve reached over the negotiated transport (HTTP v1 or the
-// persistent-socket v2 wire). Safe for concurrent use.
+// percival-serve reached over the socket wire. Safe for concurrent use.
 type RemoteBackend struct {
 	peer       string // normalized base URL ("http://host:port")
-	batchURL   string // POST target incl. ?model=
-	modelzURL  string // GET handshake target incl. ?model=
+	modelzURL  string // GET handshake target
 	name       string
 	instanceID string // peer daemon's per-process identity (may be "")
 	res        int
@@ -122,10 +92,9 @@ type RemoteBackend struct {
 	retries    int
 	backoff    time.Duration
 	backoffMax time.Duration
-	client     *http.Client // handshake client; also the HTTP transport's
-	tr         Transport    // shared across replicas, like client and win
-	chunks     *chunkPool   // shared across replicas: amortized chunk bodies
-	win        *CubicWindow // shared across replicas: one window per peer
+	tr         *sockTransport // shared across replicas, like win
+	chunks     *chunkPool     // shared across replicas: amortized chunk state
+	win        *CubicWindow   // shared across replicas: one window per peer
 
 	batches atomic.Int64
 	frames  atomic.Int64
@@ -133,10 +102,11 @@ type RemoteBackend struct {
 }
 
 // NewRemote dials peer ("host:port" or a full URL), performs the GET
-// /modelz handshake to learn the engine name and input resolution, and
-// returns the proxy backend. The handshake must succeed: registering an
-// unreachable or mismatched peer is a deployment error, not a runtime
-// condition to fail open on.
+// /modelz handshake to learn the engine name, input resolution and wire
+// listener, and returns the proxy backend. The handshake must succeed and
+// pass checkHandshake: registering an unreachable, mismatched or
+// listener-less peer is a deployment error, not a runtime condition to
+// fail open on.
 func NewRemote(peer string, opts RemoteOptions) (*RemoteBackend, error) {
 	opts = opts.withDefaults()
 	if !strings.Contains(peer, "://") {
@@ -149,23 +119,19 @@ func NewRemote(peer string, opts RemoteOptions) (*RemoteBackend, error) {
 	base := u.Scheme + "://" + u.Host
 	b := &RemoteBackend{
 		peer:       base,
+		modelzURL:  base + "/modelz",
 		timeout:    opts.Timeout,
 		retries:    opts.Retries,
 		backoff:    opts.RetryBackoff,
 		backoffMax: opts.RetryBackoffMax,
-		client:     opts.Client,
 		chunks:     &chunkPool{},
 		win:        NewCubicWindow(WindowOptions{Max: float64(opts.WindowMax)}),
 	}
-	b.batchURL = base + "/classify/batch"
-	b.modelzURL = base + "/modelz"
-	if opts.Model != "" {
-		q := "?model=" + url.QueryEscape(opts.Model)
-		b.batchURL += q
-		b.modelzURL += q
-	}
 	dialStart := time.Now()
-	info, err := b.handshake(b.modelzURL)
+	info, err := b.handshake()
+	if err == nil {
+		err = checkHandshake(info, opts.ExpectRes)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: remote peer %s: %w", u.Host, err)
 	}
@@ -173,62 +139,43 @@ func NewRemote(peer string, opts RemoteOptions) (*RemoteBackend, error) {
 	// the fleet warm — the weighted router and hedging would otherwise fly
 	// blind until dispatch samples converge (see CubicWindow.SeedRTT)
 	b.win.SeedRTT(time.Since(dialStart))
-	if !wireCompatible(info.WireVersion) {
-		// refuse a version-skewed fleet at dial time: a peer outside the
-		// compatibility range would deterministically reject every batch,
-		// failing all traffic open while looking healthy
-		return nil, fmt.Errorf("engine: remote peer %s speaks wire version %d, want %d..%d",
-			u.Host, info.WireVersion, wireVersion, wireVersionSock)
-	}
-	if info.InputRes <= 0 {
-		return nil, fmt.Errorf("engine: remote peer %s: input resolution %d", u.Host, info.InputRes)
-	}
-	if opts.ExpectRes > 0 && info.InputRes != opts.ExpectRes {
-		return nil, fmt.Errorf("engine: remote peer %s serves res %d, want %d",
-			u.Host, info.InputRes, opts.ExpectRes)
-	}
 	b.res = info.InputRes
 	b.instanceID = info.InstanceID
 	b.name = "remote:" + info.Engine + "@" + u.Host
-	if b.tr, err = pickTransport(opts, u.Host, info, b); err != nil {
-		return nil, err
-	}
+	b.tr = newSockTransport(resolveWireAddr(u.Host, info.WireAddr), base)
 	return b, nil
 }
 
-// pickTransport negotiates the wire from the dialing side's preference and
-// the peer's handshake. The socket wire needs the peer to speak v2 AND
-// advertise a listener AND serve its default backend (?model= has no socket
-// equivalent); everything else rides HTTP v1.
-func pickTransport(opts RemoteOptions, host string, info ModelzInfo, b *RemoteBackend) (Transport, error) {
-	sockable := info.WireVersion >= wireVersionSock && info.WireAddr != "" && opts.Model == ""
-	switch opts.Transport {
-	case "", "auto":
-		if !sockable {
-			return newHTTPTransport(b.peer, b.batchURL, b.client), nil
-		}
-	case "http":
-		return newHTTPTransport(b.peer, b.batchURL, b.client), nil
-	case "socket":
-		if !sockable {
-			return nil, fmt.Errorf("engine: remote peer %s: socket transport requested but peer offers wire v%d addr %q model %q",
-				host, info.WireVersion, info.WireAddr, opts.Model)
-		}
-	default:
-		return nil, fmt.Errorf("engine: remote transport %q (want auto, http or socket)", opts.Transport)
+// checkHandshake validates a peer's /modelz document against what a front
+// needs from it, at dial time and at every fleet re-admission: this wire
+// version exactly (a skewed peer would fail every chunk open while looking
+// healthy), a socket listener to carry the traffic, and — when res > 0 —
+// the front's input resolution.
+func checkHandshake(info ModelzInfo, res int) error {
+	if info.WireVersion != wireVersion {
+		return fmt.Errorf("speaks wire version %d, want %d", info.WireVersion, wireVersion)
 	}
-	return newSockTransport(resolveWireAddr(host, info.WireAddr), b.peer, !opts.NoDedup), nil
+	if info.WireAddr == "" {
+		return fmt.Errorf("advertises no wire listener (start the peer with -wire-listen)")
+	}
+	if info.InputRes <= 0 {
+		return fmt.Errorf("input resolution %d", info.InputRes)
+	}
+	if res > 0 && info.InputRes != res {
+		return fmt.Errorf("serves res %d, want %d", info.InputRes, res)
+	}
+	return nil
 }
 
 // handshake fetches and decodes the peer's /modelz document.
-func (b *RemoteBackend) handshake(modelzURL string) (ModelzInfo, error) {
+func (b *RemoteBackend) handshake() (ModelzInfo, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), b.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, modelzURL, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.modelzURL, nil)
 	if err != nil {
 		return ModelzInfo{}, err
 	}
-	resp, err := b.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return ModelzInfo{}, err
 	}
@@ -338,7 +285,7 @@ func (b *RemoteBackend) tryChunk(ctx context.Context, chunk *wireChunk, out []fl
 			}
 		}
 		start := time.Now()
-		retryable, err := b.attempt(ctx, chunk, out)
+		err := b.attempt(ctx, chunk, out)
 		if err == nil {
 			b.batches.Add(1)
 			b.win.OnSuccess(time.Since(start))
@@ -347,15 +294,10 @@ func (b *RemoteBackend) tryChunk(ctx context.Context, chunk *wireChunk, out []fl
 		if ctx.Err() != context.Canceled {
 			// a canceled hedge loser is not a congestion signal — the
 			// cancellation raced a possibly-fine request; everything else
-			// (timeout, transport error, 5xx) backs the window off
+			// (timeout, connection error) backs the window off
 			b.win.OnLoss()
 		}
 		lastErr = err
-		if !retryable {
-			// a 4xx is the peer rejecting this exact request; re-sending
-			// the same body cannot succeed
-			return err
-		}
 		if ctx.Err() != nil {
 			return lastErr
 		}
@@ -383,16 +325,13 @@ func backoffDelay(attempt int, base, ceil time.Duration) time.Duration {
 
 // attempt runs one transport attempt of a chunk, bounded by the RTO-capped
 // per-attempt timeout and the caller's context (hedged dispatch cancels the
-// losing attempt through it). retryable reports whether a further attempt
-// could succeed (transport errors and 5xx yes, peer rejections no).
-func (b *RemoteBackend) attempt(ctx context.Context, chunk *wireChunk, out []float64) (retryable bool, err error) {
+// losing attempt through it).
+func (b *RemoteBackend) attempt(ctx context.Context, chunk *wireChunk, out []float64) error {
 	timeout := b.timeout
 	if rto := b.win.RTO(); rto > 0 && rto < timeout {
 		// adaptive RTO: once the RTT estimator has warmed up, an attempt
 		// that has outlived mean+4·dev is almost certainly lost — retry it
-		// (or fail over) instead of sleeping out the configured ceiling.
-		// Living here rather than in the transports keeps the loss-detection
-		// contract identical across wires.
+		// (or fail over) instead of sleeping out the configured ceiling
 		timeout = rto
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
@@ -410,8 +349,8 @@ func (b *RemoteBackend) WindowStats() []WindowStat {
 	return []WindowStat{st}
 }
 
-// TransportStats reports the negotiated transport's byte and dedup
-// accounting (shared across replicas, like the transport itself).
+// TransportStats reports the socket wire's byte and dedup accounting
+// (shared across replicas, like the transport itself).
 func (b *RemoteBackend) TransportStats() TransportStats { return b.tr.Stats() }
 
 // Replicate returns a proxy to the same peer sharing this backend's
@@ -421,7 +360,6 @@ func (b *RemoteBackend) TransportStats() TransportStats { return b.tr.Stats() }
 func (b *RemoteBackend) Replicate() Backend {
 	return &RemoteBackend{
 		peer:       b.peer,
-		batchURL:   b.batchURL,
 		modelzURL:  b.modelzURL,
 		name:       b.name,
 		instanceID: b.instanceID,
@@ -430,7 +368,6 @@ func (b *RemoteBackend) Replicate() Backend {
 		retries:    b.retries,
 		backoff:    b.backoff,
 		backoffMax: b.backoffMax,
-		client:     b.client,
 		tr:         b.tr,
 		chunks:     b.chunks,
 		win:        b.win,
@@ -438,16 +375,15 @@ func (b *RemoteBackend) Replicate() Backend {
 }
 
 // Warm pings the peer so a live connection exists before the first real
-// dispatch: the /modelz handshake warms the HTTP pool, and the transport
-// pre-establishes whatever else it needs (the socket wire dials its hot
-// connection). The peer warms its own arenas at startup. A peer that is
+// dispatch: a /modelz handshake, then the socket wire dials its hot
+// connection. The peer warms its own arenas at startup. A peer that is
 // already dead at warm time is an operational signal, not a silent no-op:
 // the failure is logged and counted in Stats.Errors so it shows up on
 // /metrics before the first real dispatch discovers it.
 func (b *RemoteBackend) Warm(maxBatch int) {
 	ctx, cancel := context.WithTimeout(context.Background(), b.timeout)
 	defer cancel()
-	if _, err := b.handshake(b.modelzURL); err != nil {
+	if _, err := b.handshake(); err != nil {
 		b.errors.Add(1)
 		log.Printf("engine: warm %s: %v", b.peer, err)
 	} else if err := b.tr.warm(ctx); err != nil {
@@ -456,13 +392,13 @@ func (b *RemoteBackend) Warm(maxBatch int) {
 	}
 }
 
-// Close releases the transport's connections. The transport is shared and
+// Close drops the socket wire's connection. The transport is shared and
 // non-terminal: sibling replicas stay usable (the next dispatch
 // re-establishes what it needs) and Close is idempotent.
 func (b *RemoteBackend) Close() { b.tr.Close() }
 
-// drainClose consumes the rest of an HTTP response body so the connection
-// can be reused, then closes it.
+// drainClose consumes the rest of a handshake response body so the
+// connection can be reused, then closes it.
 func drainClose(body io.ReadCloser) {
 	io.Copy(io.Discard, io.LimitReader(body, 1<<20))
 	body.Close()

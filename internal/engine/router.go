@@ -33,8 +33,8 @@ import (
 //
 // Routers only ever see routable (healthy, non-draining) peers filtered by
 // the fleet; health state, eviction and redial stay the fleet's job. The
-// interface is sealed the way Transport is: the fleet's dispatch loop
-// trusts Pick to return nil only when no routable un-tried peer exists.
+// fleet's dispatch loop trusts Pick to return nil only when no routable
+// un-tried peer exists.
 type Router interface {
 	// Name identifies the policy for /admin/topology and logs.
 	Name() string

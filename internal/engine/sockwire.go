@@ -1,22 +1,42 @@
 package engine
 
-// Wire v2: the persistent-socket transport. One hot TCP connection per
-// peer carries multiplexed request/response messages (the PCVB/PCVS
-// encoding from remotehttp.go, grown a request-ID and a flags word — the
-// full format is documented in remotehttp.go's header comment), replacing
-// one HTTP exchange per chunk with framed messages on a connection that
-// never goes cold. Request IDs let responses return out of order, so the
-// CUBIC congestion window's in-flight chunks really are concurrently in
-// flight on one connection; a request that outlives its RTO deadline is
-// abandoned client-side (its ID is forgotten; a late response is dropped)
-// and feeds the window as a loss, exactly like a timed-out HTTP attempt.
+// The socket wire: the one transport between a front and its peers. One
+// hot TCP connection per peer carries multiplexed request/response
+// messages, so there is no per-chunk connection or HTTP exchange. Request
+// IDs let responses return out of order, so the CUBIC congestion window's
+// in-flight chunks really are concurrently in flight on one connection; a
+// request that outlives its RTO deadline is abandoned client-side (its ID
+// is forgotten; a late response is dropped) and feeds the window as a
+// loss.
 //
-// On top of the framing sits the hash-first dedup tier: a probe message
-// carries each frame's content key + perceptual hash, the peer answers
-// what its verdict cache already knows, and only the misses are sent as
-// (keyed) pixels. On cache-warm traffic a ~200 KB frame costs 40 bytes on
-// the wire. Pixels that do travel are written straight from each frame's
-// backing buffer to the socket — no per-chunk body assembly.
+// Every message is a header followed by count entries (little-endian):
+//
+//	magic   "PCVB" (request) / "PCVS" (response)    4 bytes
+//	version uint16                                  2 (wireVersion)
+//	id      uint32            request ID, echoed by the response
+//	flags   uint32            sockFlagProbe (request) / sockFlagMask (response)
+//	count   uint32            entries that follow, 1..maxWireFrames
+//
+// A request with sockFlagProbe carries count × (32-byte content key +
+// 8-byte perceptual hash) — the hash-first dedup tier: the peer answers
+// from its verdict cache and never sees the pixels. Its response carries
+// sockFlagMask: a ceil(count/8) hit bitmask followed by one float64 score
+// per set bit; a peer with no verdict cache also sets sockFlagNoCache, and
+// the client then skips probes for the rest of the connection (every one
+// would miss). A request without sockFlagProbe carries count ×
+// (32-byte content key + w uint32 + h uint32 + w*h*4 RGBA bytes) — pixels
+// for the probe misses, keyed so the peer can store the verdicts it scores
+// without re-hashing; its response is count × float64 scores. On
+// cache-warm traffic a ~200 KB frame costs 40 bytes on the wire. Pixels
+// that do travel are written straight from each frame's backing buffer to
+// the socket — no per-chunk body assembly.
+//
+// Peers advertise the listener through the /modelz handshake (modelz.go).
+// Frames travel at their original resolution: the peer runs the exact same
+// pre-processing (ResizeBilinearInto + ToTensorInto) an in-process backend
+// would, so a proxied verdict is bit-identical to local dispatch — and a
+// dedup hit is answered from a cache filled by those same model runs, so it
+// is bit-identical too.
 //
 // sockettransport-style stream framing (see ndn-dpdk): the reader is a
 // single goroutine per connection that routes responses to waiters by ID;
@@ -43,7 +63,14 @@ import (
 )
 
 const (
-	// sockHeaderLen is the v2 message prefix: magic, version, id, flags,
+	batchMagic  = "PCVB"
+	scoreMagic  = "PCVS"
+	wireVersion = 2
+	// maxWireFrames bounds one message's entry count; a proxy chunks by
+	// BatchChunk, so anything near this limit is a misbehaving client, not
+	// a big batch.
+	maxWireFrames = 4096
+	// sockHeaderLen is the message prefix: magic, version, id, flags,
 	// count.
 	sockHeaderLen = 4 + 2 + 4 + 4 + 4
 	// sockFlagProbe marks a request as a hash probe (keys + phashes, no
@@ -51,27 +78,30 @@ const (
 	// + scores for the set bits). Any other flag bit is a protocol error.
 	sockFlagProbe = 1 << 0
 	sockFlagMask  = 1 << 0
+	// sockFlagNoCache rides a probe answer from a peer without a verdict
+	// cache.
+	sockFlagNoCache = 1 << 1
 	// wireKeyLen is the content-key length (imaging.ContentKey).
 	wireKeyLen = 32
 	// probeEntryLen is one probe entry: content key + perceptual hash.
 	probeEntryLen = wireKeyLen + 8
-	// maxSockPixelBytes bounds one pixel message's total pixel payload —
-	// the same budget the HTTP endpoint enforces via MaxBytesReader.
-	maxSockPixelBytes = int64(BatchChunk) * maxWireFrameBytes
+	// maxSockPixelBytes bounds one pixel message's total pixel payload:
+	// one full chunk of maximum-size frames.
+	maxSockPixelBytes = int64(BatchChunk) * imaging.MaxFrameBytes
 	// sockBufSize sizes the per-connection read/write buffers.
 	sockBufSize = 64 << 10
 )
 
-// putSockHeader writes a v2 message header into dst[:sockHeaderLen].
+// putSockHeader writes a message header into dst[:sockHeaderLen].
 func putSockHeader(dst []byte, magic string, id, flags, count uint32) {
 	copy(dst[:4], magic)
-	binary.LittleEndian.PutUint16(dst[4:6], wireVersionSock)
+	binary.LittleEndian.PutUint16(dst[4:6], wireVersion)
 	binary.LittleEndian.PutUint32(dst[6:10], id)
 	binary.LittleEndian.PutUint32(dst[10:14], flags)
 	binary.LittleEndian.PutUint32(dst[14:18], count)
 }
 
-// sockReq is one decoded v2 request: a hash probe (keys+phash) or a keyed
+// sockReq is one decoded request: a hash probe (keys+phash) or a keyed
 // pixel batch (keys+frames).
 type sockReq struct {
 	id     uint32
@@ -92,8 +122,8 @@ func readSockRequest(r io.Reader) (*sockReq, error) {
 	if string(hdr[:4]) != batchMagic {
 		return nil, fmt.Errorf("engine: not a wire request (magic %q)", hdr[:4])
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != wireVersionSock {
-		return nil, fmt.Errorf("engine: wire request version %d, want %d", v, wireVersionSock)
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != wireVersion {
+		return nil, fmt.Errorf("engine: wire request version %d, want %d", v, wireVersion)
 	}
 	req := &sockReq{id: binary.LittleEndian.Uint32(hdr[6:10])}
 	flags := binary.LittleEndian.Uint32(hdr[10:14])
@@ -128,9 +158,8 @@ func readSockRequest(r io.Reader) (*sockReq, error) {
 		copy(req.keys[i][:], fh[:wireKeyLen])
 		w := int(binary.LittleEndian.Uint32(fh[wireKeyLen : wireKeyLen+4]))
 		h := int(binary.LittleEndian.Uint32(fh[wireKeyLen+4:]))
-		// int64 bound math, like decodeFrames: w*h*4 wraps on 32-bit
-		if w <= 0 || h <= 0 || w > maxWireEdge || h > maxWireEdge || int64(w)*int64(h)*4 > maxWireFrameBytes {
-			return nil, fmt.Errorf("engine: wire frame %d is %dx%d", i, w, h)
+		if err := imaging.CheckFrameSize(w, h); err != nil {
+			return nil, fmt.Errorf("engine: wire frame %d: %w", i, err)
 		}
 		if total += int64(w) * int64(h) * 4; total > maxSockPixelBytes {
 			return nil, fmt.Errorf("engine: wire request pixel payload exceeds %d bytes", maxSockPixelBytes)
@@ -144,14 +173,15 @@ func readSockRequest(r io.Reader) (*sockReq, error) {
 	return req, nil
 }
 
-// sockResp is one decoded v2 response: either plain scores (count of them)
+// sockResp is one decoded response: either plain scores (count of them)
 // or a probe answer (hit mask over count entries, scores for the set bits).
 type sockResp struct {
-	id     uint32
-	masked bool
-	count  int
-	mask   []byte
-	scores []float64
+	id      uint32
+	masked  bool
+	noCache bool // the peer has no verdict cache (sockFlagNoCache)
+	count   int
+	mask    []byte
+	scores  []float64
 }
 
 // wireSize is the response's on-the-wire byte count (accounting).
@@ -169,15 +199,16 @@ func readSockResponse(r io.Reader) (sockResp, error) {
 	if string(hdr[:4]) != scoreMagic {
 		return sockResp{}, fmt.Errorf("engine: not a wire response (magic %q)", hdr[:4])
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != wireVersionSock {
-		return sockResp{}, fmt.Errorf("engine: wire response version %d, want %d", v, wireVersionSock)
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != wireVersion {
+		return sockResp{}, fmt.Errorf("engine: wire response version %d, want %d", v, wireVersion)
 	}
 	resp := sockResp{id: binary.LittleEndian.Uint32(hdr[6:10])}
 	flags := binary.LittleEndian.Uint32(hdr[10:14])
 	count := binary.LittleEndian.Uint32(hdr[14:18])
-	if flags != 0 && flags != sockFlagMask {
+	if flags != 0 && flags != sockFlagMask && flags != sockFlagMask|sockFlagNoCache {
 		return sockResp{}, fmt.Errorf("engine: wire response flags %#x", flags)
 	}
+	resp.noCache = flags&sockFlagNoCache != 0
 	if count == 0 || count > maxWireFrames {
 		return sockResp{}, fmt.Errorf("engine: wire response of %d entries (1..%d)", count, maxWireFrames)
 	}
@@ -219,13 +250,12 @@ type sockResult struct {
 	err  error
 }
 
-// sockTransport is the wire-v2 client: one hot connection, lazily dialed
-// and redialed, multiplexing round trips by request ID. Shared across a
-// peer's replicas like the HTTP client and the congestion window.
+// sockTransport is the wire client: one hot connection, lazily dialed and
+// redialed, multiplexing round trips by request ID. Shared across a peer's
+// replicas like the congestion window.
 type sockTransport struct {
-	addr  string // wire listener address, resolved against the peer host
-	peer  string // peer base URL, for error text
-	dedup bool
+	addr string // wire listener address, resolved against the peer host
+	peer string // peer base URL, for error text
 
 	mu      sync.Mutex // connection lifecycle + pending table + nextID
 	wmu     sync.Mutex // serializes whole-message writes (never held with mu)
@@ -233,20 +263,21 @@ type sockTransport struct {
 	bw      *bufio.Writer
 	pending map[uint32]chan sockResult
 	nextID  uint32
+	// noProbe is set once the current connection's peer has said it has
+	// no verdict cache; chunks then send pixels without a probe.
+	noProbe atomic.Bool
 
 	stats transportCounters
 }
 
-func newSockTransport(addr, peer string, dedup bool) *sockTransport {
+func newSockTransport(addr, peer string) *sockTransport {
 	return &sockTransport{
 		addr:    addr,
 		peer:    peer,
-		dedup:   dedup,
 		pending: make(map[uint32]chan sockResult),
 	}
 }
 
-func (t *sockTransport) Kind() string          { return "socket" }
 func (t *sockTransport) Stats() TransportStats { return t.stats.snapshot("socket") }
 
 // Close drops the hot connection, failing the in-flight round trips.
@@ -271,12 +302,6 @@ func (t *sockTransport) warm(ctx context.Context) error {
 	return t.dialLocked(ctx)
 }
 
-// compatible requires the peer to still speak v2 and advertise a listener:
-// a peer that came back HTTP-only cannot serve this transport.
-func (t *sockTransport) compatible(info ModelzInfo) bool {
-	return info.WireVersion >= wireVersionSock && info.WireAddr != ""
-}
-
 // dialLocked establishes the connection and starts its reader. Caller
 // holds t.mu.
 func (t *sockTransport) dialLocked(ctx context.Context) error {
@@ -299,6 +324,7 @@ func (t *sockTransport) dropConn(conn net.Conn, err error) {
 	t.mu.Lock()
 	if t.conn == conn {
 		t.conn, t.bw = nil, nil
+		t.noProbe.Store(false) // the redialed peer may come back with a cache
 		for id, ch := range t.pending {
 			delete(t.pending, id)
 			ch <- sockResult{err: err}
@@ -376,36 +402,36 @@ func (t *sockTransport) call(ctx context.Context, size int64, write func(bw *buf
 	}
 }
 
-// roundTrip scores one chunk over the socket: hash probe first (when dedup
-// is on), then pixels for the misses only. Every socket failure is
-// retryable — the retry redials.
-func (t *sockTransport) roundTrip(ctx context.Context, chunk *wireChunk, out []float64) (retryable bool, err error) {
+// roundTrip scores one chunk over the socket: hash probe first, then
+// pixels for the misses only (all of them, unprobed, once the peer has
+// said it keeps no cache). Scores land in out[:len(chunk.frames)]; the
+// context carries the attempt's RTO-capped deadline. Every socket failure
+// is retryable — the retry redials.
+func (t *sockTransport) roundTrip(ctx context.Context, chunk *wireChunk, out []float64) error {
 	frames := chunk.frames
 	t.stats.chunks.Add(1)
+	keys, phash := chunk.contentKeys()
+	n := len(keys)
 	var missArr [BatchChunk]int
 	miss := missArr[:0]
-	keys, phash := chunk.contentKeys()
-	if t.dedup {
-		n := len(keys)
-		size := int64(sockHeaderLen + n*probeEntryLen)
-		resp, err := t.call(ctx, size, func(bw *bufio.Writer, id uint32) error {
-			var hdr [sockHeaderLen]byte
-			putSockHeader(hdr[:], batchMagic, id, sockFlagProbe, uint32(n))
-			bw.Write(hdr[:])
-			var pb [8]byte
-			for i := range keys {
-				bw.Write(keys[i][:])
-				binary.LittleEndian.PutUint64(pb[:], phash[i])
-				bw.Write(pb[:])
-			}
+	if t.noProbe.Load() {
+		for i := 0; i < n; i++ {
+			miss = append(miss, i)
+		}
+	} else {
+		resp, err := t.call(ctx, int64(sockHeaderLen+n*probeEntryLen), func(bw *bufio.Writer, id uint32) error {
+			writeProbe(bw, id, keys, phash)
 			return nil // write errors are sticky; Flush surfaces them
 		})
 		if err != nil {
-			return true, err
+			return err
 		}
 		if !resp.masked || resp.count != n {
-			return true, fmt.Errorf("engine: peer %s wire: probe answered %d/%v, want %d/mask",
+			return fmt.Errorf("engine: peer %s wire: probe answered %d/%v, want %d/mask",
 				t.peer, resp.count, resp.masked, n)
+		}
+		if resp.noCache {
+			t.noProbe.Store(true)
 		}
 		si := 0
 		for i := 0; i < n; i++ {
@@ -418,11 +444,7 @@ func (t *sockTransport) roundTrip(ctx context.Context, chunk *wireChunk, out []f
 		}
 		t.stats.framesDedup.Add(int64(n - len(miss)))
 		if len(miss) == 0 {
-			return false, nil
-		}
-	} else {
-		for i := range frames {
-			miss = append(miss, i)
+			return nil
 		}
 	}
 	size := int64(sockHeaderLen)
@@ -430,37 +452,56 @@ func (t *sockTransport) roundTrip(ctx context.Context, chunk *wireChunk, out []f
 		size += wireKeyLen + 8 + int64(len(frames[i].Pix))
 	}
 	resp, err := t.call(ctx, size, func(bw *bufio.Writer, id uint32) error {
-		var hdr [sockHeaderLen]byte
-		putSockHeader(hdr[:], batchMagic, id, 0, uint32(len(miss)))
-		bw.Write(hdr[:])
-		var dims [8]byte
-		for _, i := range miss {
-			bw.Write(keys[i][:])
-			binary.LittleEndian.PutUint32(dims[0:4], uint32(frames[i].W))
-			binary.LittleEndian.PutUint32(dims[4:8], uint32(frames[i].H))
-			bw.Write(dims[:])
-			// zero-copy: pixels go straight from the frame's backing buffer
-			// to the socket (bufio passes large writes through)
-			bw.Write(frames[i].Pix)
-		}
+		writePixels(bw, id, keys, frames, miss)
 		return nil
 	})
 	if err != nil {
-		return true, err
+		return err
 	}
 	if resp.masked || resp.count != len(miss) {
-		return true, fmt.Errorf("engine: peer %s wire: %d scores for %d frames",
+		return fmt.Errorf("engine: peer %s wire: %d scores for %d frames",
 			t.peer, resp.count, len(miss))
 	}
 	for j, i := range miss {
 		out[i] = resp.scores[j]
 	}
 	t.stats.framesPixels.Add(int64(len(miss)))
-	return false, nil
+	return nil
+}
+
+// writeProbe writes a probe request: one content key + perceptual hash
+// per frame.
+func writeProbe(bw *bufio.Writer, id uint32, keys [][32]byte, phash []uint64) {
+	var hdr [sockHeaderLen]byte
+	putSockHeader(hdr[:], batchMagic, id, sockFlagProbe, uint32(len(keys)))
+	bw.Write(hdr[:])
+	var pb [8]byte
+	for i := range keys {
+		bw.Write(keys[i][:])
+		binary.LittleEndian.PutUint64(pb[:], phash[i])
+		bw.Write(pb[:])
+	}
+}
+
+// writePixels writes a keyed pixel request for frames[i], i in idx.
+func writePixels(bw *bufio.Writer, id uint32, keys [][32]byte, frames []*imaging.Bitmap, idx []int) {
+	var hdr [sockHeaderLen]byte
+	putSockHeader(hdr[:], batchMagic, id, 0, uint32(len(idx)))
+	bw.Write(hdr[:])
+	var dims [8]byte
+	for _, i := range idx {
+		bw.Write(keys[i][:])
+		binary.LittleEndian.PutUint32(dims[0:4], uint32(frames[i].W))
+		binary.LittleEndian.PutUint32(dims[4:8], uint32(frames[i].H))
+		bw.Write(dims[:])
+		// zero-copy: pixels go straight from the frame's backing buffer to
+		// the socket (bufio passes large writes through)
+		bw.Write(frames[i].Pix)
+	}
 }
 
 // resolveWireAddr resolves a peer's advertised wire listener against its
-// HTTP host: an empty or wildcard listener host (":8094", "0.0.0.0:8094",
+// handshake host: an empty or wildcard listener host (":8094", "0.0.0.0:8094",
 // "[::]:8094") means "same host as the handshake".
 func resolveWireAddr(httpHost, wireAddr string) string {
 	host, port, err := net.SplitHostPort(wireAddr)
@@ -578,7 +619,7 @@ type WireServerOptions struct {
 }
 
 // WireServer is the peer side of the persistent-socket wire: an accept
-// loop over framed v2 messages, answering probes from the verdict cache
+// loop over framed wire messages, answering probes from the verdict cache
 // inline and scoring pixel batches on the backend (concurrently per
 // request ID, so responses overtake each other exactly as the multiplexed
 // client expects).
@@ -731,6 +772,18 @@ func (s *WireServer) handleConn(conn net.Conn) {
 	}
 }
 
+// countingReader counts bytes drawn from a connection.
+type countingReader struct {
+	r io.Reader
+	n *atomic.Int64
+}
+
+func (c countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
 // errorIsEOF reports whether err wraps a clean or mid-header stream end —
 // the client closing its hot connection, not a protocol violation worth
 // logging.
@@ -758,27 +811,23 @@ func unwrap(err error) error {
 // hit bitmask + scores for the hits.
 func (s *WireServer) answerProbe(conn net.Conn, wmu *sync.Mutex, req *sockReq) {
 	n := len(req.keys)
-	buf := make([]byte, sockHeaderLen, sockHeaderLen+(n+7)/8+8*n)
 	mask := make([]byte, (n+7)/8)
-	hits := 0
 	scores := make([]float64, 0, n)
 	if s.cache != nil {
 		for i, k := range req.keys {
 			if v, ok := s.cache.LookupVerdict(k); ok {
 				mask[i/8] |= 1 << (i % 8)
 				scores = append(scores, v)
-				hits++
 			}
 		}
 	}
-	s.probeHits.Add(int64(hits))
-	s.probeMisses.Add(int64(n - hits))
-	putSockHeader(buf, scoreMagic, req.id, sockFlagMask, uint32(n))
-	buf = append(buf, mask...)
-	for _, v := range scores {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	s.probeHits.Add(int64(len(scores)))
+	s.probeMisses.Add(int64(n - len(scores)))
+	flags := uint32(sockFlagMask)
+	if s.cache == nil {
+		flags |= sockFlagNoCache
 	}
-	s.writeMsg(conn, wmu, buf)
+	s.writeMsg(conn, wmu, scoreMsg(req.id, flags, n, mask, scores))
 }
 
 // scorePixels runs the batch on the backend, memoizes the verdicts under
@@ -792,17 +841,26 @@ func (s *WireServer) scorePixels(conn net.Conn, wmu *sync.Mutex, req *sockReq) {
 			s.cache.StoreVerdict(k, out[i])
 		}
 	}
-	buf := make([]byte, sockHeaderLen, sockHeaderLen+8*len(out))
-	putSockHeader(buf, scoreMagic, req.id, 0, uint32(len(out)))
-	for _, v := range out {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	s.writeMsg(conn, wmu, buf)
+	s.writeMsg(conn, wmu, scoreMsg(req.id, 0, len(out), nil, out))
 }
 
-// writeMsg writes one whole response under the connection's write lock. A
-// failed write closes the connection: the client's reader notices and
-// redials.
+// scoreMsg encodes one response over count entries: plain scores (flags
+// 0, mask nil) or a probe answer (sockFlagMask: hit mask, then the scores
+// of the hits).
+func scoreMsg(id, flags uint32, count int, mask []byte, scores []float64) []byte {
+	buf := make([]byte, sockHeaderLen, sockHeaderLen+len(mask)+8*len(scores))
+	putSockHeader(buf, scoreMagic, id, flags, uint32(count))
+	buf = append(buf, mask...)
+	for _, v := range scores {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf
+}
+
+// writeMsg writes one whole response with a single Write under the
+// connection's write lock, so a wrapping net.Conn sees one message per
+// Write (faultinject.Listener faults each response that way). A failed
+// write closes the connection: the client's reader notices and redials.
 func (s *WireServer) writeMsg(conn net.Conn, wmu *sync.Mutex, buf []byte) {
 	wmu.Lock()
 	_, err := conn.Write(buf)

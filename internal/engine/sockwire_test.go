@@ -13,25 +13,33 @@ import (
 	"testing"
 	"time"
 
+	"percival/internal/faultinject"
 	"percival/internal/imaging"
 	"percival/internal/synth"
 )
 
-// newWirePeer stands up a full wire-v2 peer: the HTTP surface plus the
-// persistent-socket listener, advertised through the /modelz handshake the
-// way percival-serve -wire-listen mounts it.
-func newWirePeer(t testing.TB, def Backend, cache VerdictCache) (*httptest.Server, *WireServer) {
+// newWirePeer stands up a peer the way percival-serve -wire-listen mounts
+// it: the socket-wire listener scoring on def (answering probes from cache,
+// nil for none) plus the /modelz handshake advertising it. With a non-nil
+// inj both surfaces take its faults, so a blackholed peer also blackholes
+// the handshake a fleet redials with.
+func newWirePeer(t testing.TB, def Backend, cache VerdictCache, inj *faultinject.Injector) (*httptest.Server, *WireServer) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := ln.Addr().String()
+	var modelz http.Handler = ModelzHandlerID(nil, def, 0.5, addr, "")
+	if inj != nil {
+		ln = faultinject.Listener(inj, ln)
+		modelz = faultinject.Middleware(inj, modelz)
+	}
 	ws := NewWireServer(WireServerOptions{Backend: def, Cache: cache})
 	go ws.Serve(ln)
 	t.Cleanup(ws.Close)
 	mux := http.NewServeMux()
-	mux.Handle("POST /classify/batch", BatchHandler(nil, def))
-	mux.Handle("GET /modelz", ModelzHandlerWire(nil, def, 0.5, ln.Addr().String()))
+	mux.Handle("GET /modelz", modelz)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts, ws
@@ -45,15 +53,15 @@ func TestSockWireBitIdentical(t *testing.T) {
 	net_, res := testNet(t, 16)
 	local := NewFP32(net_, res)
 	defer local.Close()
-	ts, ws := newWirePeer(t, local, NewVerdictMap(0))
+	ts, ws := newWirePeer(t, local, NewVerdictMap(0), nil)
 
 	rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rb.Close()
-	if kind := rb.tr.Kind(); kind != "socket" {
-		t.Fatalf("negotiated %s transport, want socket", kind)
+	if kind := rb.TransportStats().Kind; kind != "socket" {
+		t.Fatalf("transport kind %q, want socket", kind)
 	}
 
 	frames := synth.SampleFrames(7, 2*BatchChunk+3)
@@ -102,35 +110,39 @@ func TestSockWireBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSockWireNoDedup: with probes disabled every frame's pixels travel on
-// every pass, and scores stay bit-identical.
-func TestSockWireNoDedup(t *testing.T) {
+// TestSockWireSkipsProbesWithoutCache: a peer with no verdict cache says
+// so in its first probe answer, and the client then sends pixels without
+// a probe — one round trip per chunk — until it redials.
+func TestSockWireSkipsProbesWithoutCache(t *testing.T) {
 	net_, res := testNet(t, 16)
 	local := NewFP32(net_, res)
 	defer local.Close()
-	ts, _ := newWirePeer(t, local, NewVerdictMap(0))
+	ts, ws := newWirePeer(t, local, nil, nil)
 
-	rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, NoDedup: true})
+	rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rb.Close()
-
-	frames := synth.SampleFrames(11, BatchChunk)
+	frames := synth.SampleFrames(29, 2)
 	want := make([]float64, len(frames))
 	local.InferBatchInto(frames, want)
 	got := make([]float64, len(frames))
-	for pass := 0; pass < 2; pass++ {
+	for _, wantReqs := range []int64{2, 3} { // probe + pixels, then pixels only
 		rb.InferBatchInto(frames, got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("pass %d frame %d: %v, want %v", pass, i, got[i], want[i])
-			}
+		if st := ws.Stats(); st.Requests != wantReqs {
+			t.Fatalf("peer saw %d requests, want %d", st.Requests, wantReqs)
 		}
 	}
-	st := rb.TransportStats()
-	if st.FramesDedup != 0 || st.FramesPixels != int64(2*len(frames)) {
-		t.Fatalf("NoDedup stats %+v", st)
+	rb.Close() // a redial may reach a peer that came back with a cache
+	rb.InferBatchInto(frames, got)
+	if st := ws.Stats(); st.Requests != 5 || st.ProbeMisses != 2*int64(len(frames)) {
+		t.Fatalf("after redial the peer saw %+v, want a fresh probe", st)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("frame %d: %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -141,7 +153,7 @@ func TestSockWireRedialsAfterClose(t *testing.T) {
 	net_, res := testNet(t, 16)
 	local := NewFP32(net_, res)
 	defer local.Close()
-	ts, _ := newWirePeer(t, local, nil)
+	ts, _ := newWirePeer(t, local, nil, nil)
 
 	rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, Retries: 1})
 	if err != nil {
@@ -178,7 +190,7 @@ func TestSockWireConcurrent(t *testing.T) {
 	net_, res := testNet(t, 16)
 	local := NewFP32(net_, res)
 	defer local.Close()
-	ts, _ := newWirePeer(t, local, NewVerdictMap(0))
+	ts, _ := newWirePeer(t, local, NewVerdictMap(0), nil)
 
 	rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, Timeout: 5 * time.Second})
 	if err != nil {
@@ -227,7 +239,7 @@ func TestSockWireFailsOpenWhenDown(t *testing.T) {
 	net_, res := testNet(t, 16)
 	local := NewFP32(net_, res)
 	defer local.Close()
-	ts, ws := newWirePeer(t, local, nil)
+	ts, ws := newWirePeer(t, local, nil, nil)
 
 	rb, err := NewRemote(ts.URL, RemoteOptions{
 		ExpectRes: res, Timeout: 300 * time.Millisecond, Retries: 0,
@@ -239,7 +251,7 @@ func TestSockWireFailsOpenWhenDown(t *testing.T) {
 	frames := synth.SampleFrames(19, 2)
 	got := make([]float64, len(frames))
 	rb.InferBatchInto(frames, got) // healthy pass establishes the conn
-	ws.Close()                     // socket listener dies; HTTP surface stays up
+	ws.Close()                     // socket listener dies; /modelz stays up
 	rb.InferBatchInto(frames, got)
 	for i, v := range got {
 		if v != 0 {
@@ -282,7 +294,7 @@ func TestWireServerRejectsGarbage(t *testing.T) {
 			putSockHeader(b[:], batchMagic, 1, sockFlagProbe, maxWireFrames+1)
 			return b[:]
 		}(),
-		// pixel frame with overflowing dims (the v1 regression, on the v2 wire)
+		// pixel frame with overflowing dims
 		func() []byte {
 			var b [sockHeaderLen + wireKeyLen + 8]byte
 			putSockHeader(b[:], batchMagic, 1, 0, 1)
@@ -306,7 +318,7 @@ func TestWireServerRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestSockRequestRoundTrip: the v2 request/response codecs must reproduce
+// TestSockRequestRoundTrip: the wire request/response codecs must reproduce
 // probes, keyed pixel batches and masked responses bit-for-bit.
 func TestSockRequestRoundTrip(t *testing.T) {
 	frames := synth.SampleFrames(23, 3)
@@ -320,15 +332,7 @@ func TestSockRequestRoundTrip(t *testing.T) {
 	// probe
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	var hdr [sockHeaderLen]byte
-	putSockHeader(hdr[:], batchMagic, 42, sockFlagProbe, uint32(len(keys)))
-	bw.Write(hdr[:])
-	var pb [8]byte
-	for i := range keys {
-		bw.Write(keys[i][:])
-		binary.LittleEndian.PutUint64(pb[:], phash[i])
-		bw.Write(pb[:])
-	}
+	writeProbe(bw, 42, keys, phash)
 	bw.Flush()
 	req, err := readSockRequest(&buf)
 	if err != nil {
@@ -343,32 +347,27 @@ func TestSockRequestRoundTrip(t *testing.T) {
 		}
 	}
 
-	// keyed pixels
+	// keyed pixels, a subset in caller order
 	buf.Reset()
-	putSockHeader(hdr[:], batchMagic, 43, 0, uint32(len(frames)))
-	buf.Write(hdr[:])
-	var dims [8]byte
-	for i, f := range frames {
-		buf.Write(keys[i][:])
-		binary.LittleEndian.PutUint32(dims[0:4], uint32(f.W))
-		binary.LittleEndian.PutUint32(dims[4:8], uint32(f.H))
-		buf.Write(dims[:])
-		buf.Write(f.Pix)
-	}
+	idx := []int{2, 0}
+	writePixels(bw, 43, keys, frames, idx)
+	bw.Flush()
 	req, err = readSockRequest(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.probe || req.id != 43 || len(req.frames) != len(frames) {
+	if req.probe || req.id != 43 || len(req.frames) != len(idx) {
 		t.Fatalf("pixel request decoded %+v", req)
 	}
-	for i, f := range frames {
-		if req.keys[i] != keys[i] || req.frames[i].W != f.W || !bytes.Equal(req.frames[i].Pix, f.Pix) {
+	for j, i := range idx {
+		f := frames[i]
+		if req.keys[j] != keys[i] || req.frames[j].W != f.W || req.frames[j].H != f.H || !bytes.Equal(req.frames[j].Pix, f.Pix) {
 			t.Fatalf("pixel frame %d mismatch", i)
 		}
 	}
 
 	// masked response with bits set past count must be rejected
+	var hdr [sockHeaderLen]byte
 	buf.Reset()
 	putSockHeader(hdr[:], scoreMagic, 44, sockFlagMask, 3)
 	buf.Write(hdr[:])

@@ -1,20 +1,24 @@
 // Package faultinject is a reusable fault-injection harness for the serving
-// tier: an http.RoundTripper wrapper (client side) and an http.Handler
-// middleware (server side) that inject added latency, synthetic errors and
-// blackholes — either under manual control (Set) or on a timed schedule of
-// phases (SetSchedule), which is how tests and benchmarks script a flapping
-// peer (up -> blackhole -> up) without touching the code under test.
+// tier: an http.Handler middleware for the /modelz handshake and a
+// net.Listener wrapper for the socket wire, both injecting added latency,
+// synthetic errors and blackholes — either under manual control (Set) or
+// on a timed schedule of phases (SetSchedule), which is how tests and
+// benchmarks script a flapping peer (up -> blackhole -> up) without
+// touching the code under test.
 //
 // The classifier sits inline in the rendering path, so the fleet layer's
 // contract is "never block a page under any backend condition"; this
 // package is how that contract is exercised: internal/engine's fleet tests,
 // the ServeChaos8x2 benchmark row, and the `make chaos` CI smoke all drive
-// their peers through an Injector.
+// their peers through an Injector. A faulty peer wraps both of its
+// surfaces with the same Injector, so a blackholed peer also blackholes the
+// handshake its fleet redials with.
 package faultinject
 
 import (
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -30,8 +34,9 @@ type Fault struct {
 	// in (0, 1) model a peer whose tail is poisoned (a "20% slow" peer).
 	LatencyRate float64
 	// ErrorRate is the fraction of requests answered with a synthetic
-	// failure: a transport error on the client side, a 503 on the server
-	// side. Both are retryable in engine.RemoteBackend's classification.
+	// failure: a 503 from Middleware, a connection reset from Listener
+	// (the wire has no error reply). Both are retryable in
+	// engine.RemoteBackend's classification.
 	ErrorRate float64
 	// Blackhole swallows affected requests entirely: no response until the
 	// caller's context expires — the failure mode of a dead host, as opposed
@@ -136,47 +141,6 @@ func (in *Injector) decide() (delay time.Duration, fail, blackhole bool) {
 	return delay, in.roll(f.ErrorRate), false
 }
 
-// injectedError is the synthetic client-side transport failure.
-type injectedError struct{}
-
-func (injectedError) Error() string   { return "faultinject: injected transport error" }
-func (injectedError) Timeout() bool   { return false }
-func (injectedError) Temporary() bool { return true }
-
-// Transport is a client-side http.RoundTripper that injects the Injector's
-// current fault in front of Base (http.DefaultTransport when nil).
-type Transport struct {
-	Base http.RoundTripper
-	Inj  *Injector
-}
-
-// RoundTrip applies the current fault, then delegates to Base.
-func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	delay, fail, blackhole := t.Inj.decide()
-	ctx := req.Context()
-	if blackhole {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	if delay > 0 {
-		timer := time.NewTimer(delay)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		}
-	}
-	if fail {
-		return nil, injectedError{}
-	}
-	base := t.Base
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	return base.RoundTrip(req)
-}
-
 // Middleware wraps a server-side handler with the Injector's current fault:
 // blackholed requests hang until the client gives up, delayed requests wait
 // out the added latency, failed requests answer 503.
@@ -208,4 +172,68 @@ func Middleware(in *Injector, next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
+}
+
+// Listener wraps a socket-wire listener so every message written to an
+// accepted connection takes the Injector's current fault. The wire server
+// writes each response message with one Write call, so each probe or pixel
+// request is faulted on its own, like an HTTP request under Middleware:
+//   - a blackholed response is swallowed — the client's per-attempt
+//     timeout is what ends the request, exactly like a dead host;
+//   - a delayed response is written after the added latency from its own
+//     timer, so it never holds up the responses queued behind it (the wire
+//     multiplexes by request ID, and responses may arrive in any order);
+//   - a failed response resets the connection, failing every request in
+//     flight on it — the wire's only fast failure.
+func Listener(in *Injector, ln net.Listener) net.Listener {
+	return &faultListener{Listener: ln, inj: in}
+}
+
+type faultListener struct {
+	net.Listener
+	inj *Injector
+}
+
+func (l *faultListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &faultConn{Conn: c, inj: l.inj}, nil
+}
+
+// faultConn applies the fault per Write; mu keeps a delayed message from
+// interleaving with one written directly.
+type faultConn struct {
+	net.Conn
+	inj *Injector
+	mu  sync.Mutex
+}
+
+func (c *faultConn) Write(p []byte) (int, error) {
+	delay, fail, blackhole := c.inj.decide()
+	switch {
+	case blackhole:
+		return len(p), nil
+	case delay > 0:
+		msg := append([]byte(nil), p...)
+		time.AfterFunc(delay, func() {
+			if fail {
+				c.Conn.Close()
+				return
+			}
+			c.write(msg) // a broken conn surfaces on the client's read side
+		})
+		return len(p), nil
+	case fail:
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.write(p)
+}
+
+func (c *faultConn) write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Conn.Write(p)
 }

@@ -1,9 +1,11 @@
 package faultinject
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -109,44 +111,89 @@ func TestMiddlewareFaults(t *testing.T) {
 	}
 }
 
-// TestTransportFaults: the client-side wrapper injects without the server
-// ever seeing the request, and added latency is observable.
-func TestTransportFaults(t *testing.T) {
-	hits := 0
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits++
-		io.WriteString(w, "ok")
-	}))
-	defer ts.Close()
-
-	in := NewInjector(1)
-	client := &http.Client{Transport: &Transport{Inj: in}}
-
-	in.Set(Fault{ErrorRate: 1})
-	if _, err := client.Get(ts.URL); err == nil {
-		t.Fatal("injected transport error not surfaced")
-	}
-	if hits != 0 {
-		t.Fatalf("server saw %d requests through an error-injected transport", hits)
-	}
-
-	in.Set(Fault{Blackhole: true})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL, nil)
-	if _, err := client.Do(req); err == nil {
-		t.Fatal("blackholed transport returned a response")
-	}
-
-	in.Set(Fault{Latency: 40 * time.Millisecond})
-	start := time.Now()
-	resp, err := client.Get(ts.URL)
+// echoServer serves newline-framed messages over a fault-wrapped listener,
+// answering each with one Write — the shape of the socket wire's server.
+func echoServer(t *testing.T, in *Injector) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if d := time.Since(start); d < 40*time.Millisecond {
-		t.Fatalf("latency injection took %v, want >= 40ms", d)
+	fl := Listener(in, ln)
+	t.Cleanup(func() { fl.Close() })
+	go func() {
+		for {
+			c, err := fl.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for {
+					line, err := br.ReadString('\n')
+					if err != nil {
+						return
+					}
+					c.Write([]byte(line))
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestTransportFaults: the wire-transport wrapper (Listener) must pass
+// healthy messages, swallow blackholed ones, deliver delayed ones late
+// without holding up the messages behind them, and reset the connection on
+// error injection.
+func TestTransportFaults(t *testing.T) {
+	in := NewInjector(1)
+	conn, err := net.Dial("tcp", echoServer(t, in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	read := func(within time.Duration) (string, error) {
+		conn.SetReadDeadline(time.Now().Add(within))
+		return br.ReadString('\n')
+	}
+
+	io.WriteString(conn, "healthy\n")
+	if got, err := read(2 * time.Second); err != nil || got != "healthy\n" {
+		t.Fatalf("healthy message: %q, %v", got, err)
+	}
+
+	in.Set(Fault{Blackhole: true})
+	io.WriteString(conn, "lost\n")
+	if got, err := read(50 * time.Millisecond); err == nil {
+		t.Fatalf("blackholed message answered: %q", got)
+	}
+
+	// the delayed response is decided first but must arrive second
+	in.Set(Fault{Latency: 300 * time.Millisecond})
+	start := time.Now()
+	io.WriteString(conn, "slow\n")
+	time.Sleep(30 * time.Millisecond)
+	in.Set(Fault{})
+	io.WriteString(conn, "fast\n")
+	if got, err := read(2 * time.Second); err != nil || got != "fast\n" {
+		t.Fatalf("message behind a delayed one: %q, %v (held up?)", got, err)
+	}
+	if got, err := read(2 * time.Second); err != nil || got != "slow\n" {
+		t.Fatalf("delayed message: %q, %v", got, err)
+	}
+	if d := time.Since(start); d < 300*time.Millisecond {
+		t.Fatalf("latency injection took %v, want >= 300ms", d)
+	}
+
+	in.Set(Fault{ErrorRate: 1})
+	io.WriteString(conn, "reset\n")
+	if got, err := read(2 * time.Second); err == nil {
+		t.Fatalf("error-injected message answered: %q", got)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("error injection hung the connection instead of resetting it")
 	}
 }
 
@@ -221,21 +268,33 @@ func TestInjectorConcurrentScheduleMutation(t *testing.T) {
 }
 
 // TestTransportScheduleConcurrent composes a timed phase schedule with the
-// client-side RoundTripper under concurrent requests: a healthy → failing →
-// healthy schedule must fail some in-flight traffic mid-schedule and none
-// once the final phase holds.
+// wire-transport wrapper (Listener) under concurrent connections: a healthy → failing → healthy
+// schedule must reset some in-flight traffic mid-schedule and none once the
+// final phase holds.
 func TestTransportScheduleConcurrent(t *testing.T) {
-	ts := httptest.NewServer(okHandler())
-	defer ts.Close()
 	in := NewInjector(5)
-	client := &http.Client{Transport: &Transport{Inj: in}}
+	addr := echoServer(t, in)
 	in.SetSchedule(false,
 		Phase{Fault: Fault{}, For: 30 * time.Millisecond},
 		Phase{Fault: Fault{ErrorRate: 1}, For: 30 * time.Millisecond},
 		Phase{Fault: Fault{}, For: time.Millisecond},
 	)
+	// roundTrip sends one message on a fresh connection and reads the echo
+	roundTrip := func() error {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(2 * time.Second))
+		if _, err := io.WriteString(conn, "ping\n"); err != nil {
+			return err
+		}
+		_, err = bufio.NewReader(conn).ReadString('\n')
+		return err
+	}
 
-	var ok, injected, other atomic.Int64
+	var ok, reset, other atomic.Int64
 	var wg sync.WaitGroup
 	deadline := time.Now().Add(90 * time.Millisecond)
 	for w := 0; w < 8; w++ {
@@ -243,15 +302,15 @@ func TestTransportScheduleConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for time.Now().Before(deadline) {
-				resp, err := client.Get(ts.URL)
+				err := roundTrip()
+				var ne net.Error
 				switch {
 				case err == nil:
-					resp.Body.Close()
 					ok.Add(1)
-				case errors.Is(err, injectedError{}):
-					injected.Add(1)
-				default:
+				case errors.As(err, &ne) && ne.Timeout():
 					other.Add(1)
+				default:
+					reset.Add(1)
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -259,18 +318,16 @@ func TestTransportScheduleConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	if other.Load() != 0 {
-		t.Fatalf("%d non-injected failures", other.Load())
+		t.Fatalf("%d timed-out requests (error injection must reset, not hang)", other.Load())
 	}
-	if ok.Load() == 0 || injected.Load() == 0 {
-		t.Fatalf("schedule did not exercise both phases under concurrency: ok=%d injected=%d",
-			ok.Load(), injected.Load())
+	if ok.Load() == 0 || reset.Load() == 0 {
+		t.Fatalf("schedule did not exercise both phases under concurrency: ok=%d reset=%d",
+			ok.Load(), reset.Load())
 	}
 	// the non-cycling schedule's last phase holds: traffic is clean again
 	for i := 0; i < 8; i++ {
-		resp, err := client.Get(ts.URL)
-		if err != nil {
+		if err := roundTrip(); err != nil {
 			t.Fatalf("request after heal phase failed: %v", err)
 		}
-		resp.Body.Close()
 	}
 }

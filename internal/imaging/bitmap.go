@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
+	"math"
 )
 
 // Bitmap is a dense 8-bit RGBA pixel buffer, equivalent to the SkBitmap that
@@ -20,9 +21,29 @@ type Bitmap struct {
 	Pix  []uint8
 }
 
-// NewBitmap allocates a transparent-black w×h bitmap.
+// MaxFrameEdge and MaxFrameBytes bound one frame that arrives from outside
+// the process — a raw /classify upload, an encoded creative's header, a
+// wire pixel message — before its pixel buffer is allocated, so a lying
+// size cannot crash or over-allocate the daemon.
+const (
+	MaxFrameEdge  = 1 << 15
+	MaxFrameBytes = 32 << 20
+)
+
+// CheckFrameSize reports whether a w×h RGBA frame is inside the untrusted-
+// input bounds. The byte count is computed in int64, so no product of two
+// ints can wrap past the check.
+func CheckFrameSize(w, h int) error {
+	if w <= 0 || h <= 0 || w > MaxFrameEdge || h > MaxFrameEdge || int64(w)*int64(h)*4 > MaxFrameBytes {
+		return fmt.Errorf("imaging: frame %dx%d outside 1..%d per edge and %d bytes", w, h, MaxFrameEdge, MaxFrameBytes)
+	}
+	return nil
+}
+
+// NewBitmap allocates a transparent-black w×h bitmap. It panics on a
+// non-positive size or one whose byte count overflows int.
 func NewBitmap(w, h int) *Bitmap {
-	if w <= 0 || h <= 0 {
+	if w <= 0 || h <= 0 || w > math.MaxInt/4/h {
 		panic(fmt.Sprintf("imaging: invalid bitmap size %dx%d", w, h))
 	}
 	return &Bitmap{W: w, H: h, Pix: make([]uint8, w*h*4)}

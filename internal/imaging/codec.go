@@ -43,8 +43,17 @@ func Encode(b *Bitmap, f Format) ([]byte, error) {
 }
 
 // Decode parses an encoded image (PNG, JPEG or GIF — sniffed from the
-// payload, as Blink's image decoders do) into a Bitmap.
+// payload, as Blink's image decoders do) into a Bitmap. The header's
+// declared size is checked against CheckFrameSize before any pixel is
+// decoded: a few bytes of header can otherwise claim gigabytes.
 func Decode(data []byte) (*Bitmap, Format, error) {
+	cfg, _, err := image.DecodeConfig(bytes.NewReader(data))
+	if err != nil {
+		return nil, "", fmt.Errorf("imaging: decode: %w", err)
+	}
+	if err := CheckFrameSize(cfg.Width, cfg.Height); err != nil {
+		return nil, "", fmt.Errorf("imaging: decode: %w", err)
+	}
 	img, name, err := image.Decode(bytes.NewReader(data))
 	if err != nil {
 		return nil, "", fmt.Errorf("imaging: decode: %w", err)
