@@ -32,7 +32,8 @@ race:
 
 # Native Go fuzzing smoke pass over the decoders that face untrusted input
 # (EasyList rules, HTML, the socket wire framing, the admin control-plane
-# request bodies, /classify frame bodies, verdict-cache snapshots). Each
+# request bodies, /classify frame bodies, verdict-cache snapshots, PCVL
+# model files). Each
 # fuzzer runs for FUZZTIME; crashers are written to the package's
 # testdata/fuzz corpus and reproduced by `go test`.
 fuzz:
@@ -42,6 +43,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzAdminRequest -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./cmd/percival-serve
 	$(GO) test -run=NONE -fuzz=FuzzRestoreCache -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzLoadModel -fuzztime=$(FUZZTIME) ./internal/nn
 
 # Fault-injection smoke: drives the fleet supervisor (eviction, redial,
 # hedging, local fallback) and the daemon's serving edge through flapping /

@@ -72,7 +72,7 @@ type BenchResult struct {
 }
 
 // ShardPoint is one point of the per-shard-count throughput trajectory on
-// the rotation workload (shards > 1 run the AIMD adaptive linger policy).
+// the rotation workload (shards > 1 hold batches for 200µs instead of 2ms).
 type ShardPoint struct {
 	Shards  int     `json:"shards"`
 	FP32FPS float64 `json:"fp32_frames_per_sec"`
@@ -115,7 +115,7 @@ type ServeResult struct {
 	ChaosP99Ratio float64 `json:"chaos_p99_ratio"`
 	// The overload row: the chaos topology offered 2x its measured healthy
 	// throughput open-loop while one peer serves a 20% slow tail, with the
-	// unified admission controller at the edge. OverloadGoodputRatio is
+	// admission ladder armed at the edge. OverloadGoodputRatio is
 	// goodput over same-run healthy throughput (acceptance bound: >= 0.8);
 	// OverloadMaxStage is the highest brownout stage the ladder reached.
 	OverloadFP32FPS      float64 `json:"overload_fp32_frames_per_sec"`
@@ -132,7 +132,7 @@ type ServeResult struct {
 	// steady state (non-repeating frames, cache off): pure batching
 	SteadyFP32FPS     float64 `json:"steady_fp32_frames_per_sec"`
 	SteadyAllocsPerOp int64   `json:"steady_allocs_per_op"`
-	// sharded steady state (2 shards, adaptive policy, cache off)
+	// sharded steady state (2 shards, cache off)
 	ShardedSteadyFPS         float64 `json:"sharded_steady_frames_per_sec"`
 	ShardedSteadyAllocsPerOp int64   `json:"sharded_steady_allocs_per_op"`
 }

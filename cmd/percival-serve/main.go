@@ -17,15 +17,16 @@
 //
 //	percival-serve                        # train a reduced-scale model, serve on :8093
 //	percival-serve -res 224 -int8         # paper-scale INT8 engine
-//	percival-serve -shards 4 -adaptive    # sharded dispatch, AIMD linger
+//	percival-serve -shards 4              # sharded dispatch
 //	percival-serve -shards 4 -lanes       # multi-core: one OS-thread-locked,
 //	                                      # core-pinned dispatch lane per shard
 //	                                      # with the GEMM worker pool
 //	                                      # partitioned across the lanes
 //	                                      # (per-lane counters on /metrics)
-//	percival-serve -admission             # unified admission controller: the
-//	                                      # graded brownout ladder gates the
-//	                                      # queue door and co-adapts linger,
+//	percival-serve -linger 200us          # shorter batch hold: latency over fill
+//	percival-serve -deadline 0            # never shed: also disarms the graded
+//	                                      # brownout ladder that otherwise gates
+//	                                      # the queue door and co-adapts linger,
 //	                                      # batch cap and shed deadline under
 //	                                      # overload (stage in /healthz)
 //	percival-serve -backend fp32 -int8    # quantize, but pin serving to FP32
@@ -102,13 +103,11 @@ func main() {
 		backendName = flag.String("backend", "auto", "serving backend: fp32, int8, or auto (the parity-gated default)")
 		shards      = flag.Int("shards", 1, "dispatch shards (content-hash range partitions, each with its own batcher and backend replica)")
 		lanes       = flag.Bool("lanes", false, "pin one dispatch lane per shard to its own OS thread and core, and partition the GEMM worker pool across the lanes (multi-core serving; overrides -workers)")
-		adaptive    = flag.Bool("adaptive", false, "adapt the batch linger with the AIMD policy instead of the fixed -linger")
-		admission   = flag.Bool("admission", false, "run the unified admission controller: graded brownout (cache-only -> degraded -> shed) gates the queue door and co-adapts linger, batch cap and shed deadline; wraps the -adaptive AIMD policy or the fixed -linger")
 		workers     = flag.Int("workers", 0, "dispatch workers across all shards (0 = GOMAXPROCS)")
 		maxBatch    = flag.Int("batch", 16, "max frames per forward pass")
-		linger      = flag.Duration("linger", 2*time.Millisecond, "batch linger budget (fixed policy)")
+		linger      = flag.Duration("linger", 2*time.Millisecond, "how long a batcher holds an underfull batch open for more frames (capped at 200us under degraded brownout)")
 		queue       = flag.Int("queue", 0, "submit queue depth (0 = default)")
-		deadline    = flag.Duration("deadline", 500*time.Millisecond, "load-shed deadline (0 disables)")
+		deadline    = flag.Duration("deadline", 500*time.Millisecond, "load-shed deadline; also arms the graded brownout ladder (cache-only -> degraded -> shed) that gates the queue door and co-adapts linger, batch cap and shed deadline under overload (0 disables both)")
 		cacheSize   = flag.Int("cache", 4096, "verdict cache entries (0 = default)")
 		cacheFile   = flag.String("cache-file", "", "verdict-cache snapshot path: loaded at startup, saved on shutdown")
 		peers       = flag.String("peers", "", "comma-separated peer percival-serve HTTP addresses (host:port); dispatch shards proxy to these supervised remote replicas over the socket wire instead of the local engine (every peer must run -wire-listen)")
@@ -199,18 +198,6 @@ func main() {
 		Shards:     *shards,
 		PinLanes:   *lanes,
 		Backend:    serving,
-	}
-	switch {
-	case *admission:
-		// the controller wraps whichever linger policy the flags chose; the
-		// fleet's congestion windows feed its pressure signal automatically
-		inner := serve.Policy(serve.FixedPolicy{D: *linger})
-		if *adaptive {
-			inner = serve.NewAIMDPolicy()
-		}
-		opts.Policy = serve.NewAdmissionController(serve.AdmissionOptions{Linger: inner})
-	case *adaptive:
-		opts.Policy = serve.NewAIMDPolicy()
 	}
 	srv, err := serve.New(svc, opts)
 	if err != nil {
@@ -309,15 +296,8 @@ func main() {
 			}
 		}
 	}()
-	mode := "fixed"
-	if *adaptive {
-		mode = "adaptive"
-	}
-	if *admission {
-		mode = "admission/" + mode
-	}
-	log.Printf("serving on %s (shards=%d batch<=%d linger=%s/%v deadline=%v)",
-		*addr, srv.Shards(), *maxBatch, mode, *linger, *deadline)
+	log.Printf("serving on %s (shards=%d batch<=%d linger=%v deadline=%v)",
+		*addr, srv.Shards(), *maxBatch, *linger, *deadline)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		log.Fatal("percival-serve: ", err)
 	}
@@ -606,9 +586,7 @@ func metricsHandler(srv *serve.Server, reg *engine.Registry, fleet *engine.Fleet
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		io.WriteString(w, srv.Metrics().Expose())
-		if adm := srv.Admission(); adm != nil {
-			io.WriteString(w, adm.Expose())
-		}
+		io.WriteString(w, srv.Admission().Expose())
 		for i, st := range srv.BackendStats() {
 			fmt.Fprintf(w, "percival_engine_batches_total{shard=\"%d\"} %d\n", i, st.Batches)
 			fmt.Fprintf(w, "percival_engine_errors_total{shard=\"%d\"} %d\n", i, st.Errors)
@@ -694,8 +672,8 @@ func healthHandler(srv *serve.Server, reg *engine.Registry, engineName string, w
 		EngineErrors int64   `json:"engine_errors"`
 		// Brownout is the admission ladder's current stage ("normal",
 		// "cache-only", "degraded", "shed") with its smoothed pressure
-		// signal — only present under -admission.
-		Brownout          string                  `json:"brownout_stage,omitempty"`
+		// signal (0 when idle or under -deadline 0).
+		Brownout          string                  `json:"brownout_stage"`
 		AdmissionPressure float64                 `json:"admission_pressure,omitempty"`
 		Peers             []engine.PeerHealthInfo `json:"peers,omitempty"`
 		// Wire is the persistent-socket listener's counter snapshot — only
@@ -706,20 +684,18 @@ func healthHandler(srv *serve.Server, reg *engine.Registry, engineName string, w
 		m := srv.Metrics()
 		w.Header().Set("Content-Type", "application/json")
 		h := health{
-			OK:           true,
-			Engine:       engineName,
-			Shards:       srv.Shards(),
-			InputRes:     srv.Service().InputRes(),
-			Threshold:    srv.Service().Threshold(),
-			CacheLen:     srv.CacheLen(),
-			Submitted:    m.Submitted.Load(),
-			Shed:         m.Shed.Load(),
-			EngineErrors: engineErrors(srv, reg),
-			Peers:        srv.FleetHealth(),
-		}
-		if adm := srv.Admission(); adm != nil {
-			h.Brownout = adm.Stage().String()
-			h.AdmissionPressure = adm.Pressure()
+			OK:                true,
+			Engine:            engineName,
+			Shards:            srv.Shards(),
+			InputRes:          srv.Service().InputRes(),
+			Threshold:         srv.Service().Threshold(),
+			CacheLen:          srv.CacheLen(),
+			Submitted:         m.Submitted.Load(),
+			Shed:              m.Shed.Load(),
+			EngineErrors:      engineErrors(srv, reg),
+			Brownout:          srv.Admission().Stage().String(),
+			AdmissionPressure: srv.Admission().Pressure(),
+			Peers:             srv.FleetHealth(),
 		}
 		if wire != nil {
 			ws := wire.Stats()

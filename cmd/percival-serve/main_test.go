@@ -262,7 +262,8 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var h struct {
-		EngineErrors int64 `json:"engine_errors"`
+		EngineErrors int64  `json:"engine_errors"`
+		Brownout     string `json:"brownout_stage"`
 	}
 	err = json.NewDecoder(hresp.Body).Decode(&h)
 	hresp.Body.Close()
@@ -271,6 +272,9 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 	}
 	if h.EngineErrors == 0 {
 		t.Fatal("healthz engine_errors is 0 after a peer-down fail-open")
+	}
+	if h.Brownout != "normal" {
+		t.Fatalf("healthz brownout_stage %q, want \"normal\"", h.Brownout)
 	}
 	mresp, err := http.Get(front.URL + "/metrics")
 	if err != nil {
@@ -284,6 +288,9 @@ func TestTwoTierMatchesInProcessDispatch(t *testing.T) {
 	}
 	if !bytes.Contains(exp.Bytes(), []byte("percival_engine_errors_total")) {
 		t.Fatal("/metrics does not expose the per-shard engine error counters")
+	}
+	if !bytes.Contains(exp.Bytes(), []byte("percival_serve_brownout_stage 0")) {
+		t.Fatal("/metrics does not expose the brownout stage")
 	}
 }
 

@@ -49,12 +49,13 @@ func main() {
 	}
 
 	// Two dispatch shards, each with its own coalescing batcher and backend
-	// replica, partitioned by content-hash range; the AIMD policy adapts the
-	// batch linger to the live latency histogram instead of a fixed 2ms.
+	// replica, partitioned by content-hash range. A batcher holds an
+	// underfull batch for at most 200µs; the 1s shed deadline also arms the
+	// brownout ladder, which sheds work the model cannot reach in time.
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   2,
-		Policy:   serve.NewAIMDPolicy(),
+		Linger:   200 * time.Microsecond,
 		Deadline: time.Second,
 	})
 	if err != nil {
@@ -164,7 +165,7 @@ func main() {
 	front, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   2,
-		Policy:   serve.NewAIMDPolicy(),
+		Linger:   200 * time.Microsecond,
 		Deadline: time.Second,
 		Backend:  fleet,
 	})

@@ -122,7 +122,7 @@ func ServeReroute8x2(b *testing.B) {
 	staticSrv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   3,
-		Policy:   serve.NewAIMDPolicy(),
+		Linger:   shardedLinger,
 		Backend:  staticFleet,
 	})
 	if err != nil {
@@ -158,7 +158,7 @@ func ServeReroute8x2(b *testing.B) {
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   3,
-		Policy:   serve.NewAIMDPolicy(),
+		Linger:   shardedLinger,
 		Backend:  serving,
 	})
 	if err != nil {

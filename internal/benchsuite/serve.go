@@ -30,6 +30,12 @@ const ServeConcurrency = 8
 // and in-flight coalescing exploit.
 const serveRotationDistinct = 16
 
+// shardedLinger is the batch hold of the multi-shard and remote rows. At
+// paper resolution one forward pass (~30 ms) is far longer than any useful
+// linger, and with 8 clients over several shards a batch fills or ages out
+// on its own, so these rows hold an underfull batch only briefly.
+const shardedLinger = 200 * time.Microsecond
+
 // PaperService builds a core classifier service at paper scale around the
 // deterministic warm-start network, optionally on the INT8 engine (the
 // parity gate must activate — throughput numbers must not silently fall
@@ -127,8 +133,8 @@ func ServeSteady8Int8(b *testing.B) { serveSteady(b, true) }
 // creative is amortized over ServeConcurrency sightings via the sharded
 // cache and in-flight coalescing. shards > 1 partitions dispatch by
 // content-hash range (each shard with its own batcher and backend replica)
-// and runs the AIMD adaptive linger policy — the per-shard-count points of
-// the throughput trajectory.
+// and holds batches for shardedLinger — the per-shard-count points of the
+// throughput trajectory.
 func serveRotation(b *testing.B, shards int, quantized bool) {
 	opts := serve.Options{
 		MaxBatch: 16,
@@ -136,7 +142,7 @@ func serveRotation(b *testing.B, shards int, quantized bool) {
 		Shards:   shards,
 	}
 	if shards > 1 {
-		opts.Policy = serve.NewAIMDPolicy()
+		opts.Linger = shardedLinger
 	}
 	serveRotationOpts(b, opts, quantized)
 }
@@ -181,16 +187,14 @@ func ServeRotation8(b *testing.B) { serveRotation(b, 1, false) }
 // ServeRotation8Int8 is the INT8 rotation-workload serving benchmark.
 func ServeRotation8Int8(b *testing.B) { serveRotation(b, 1, true) }
 
-// ServeRotation8x2 is the FP32 rotation workload over 2 dispatch shards
-// with the AIMD adaptive linger policy.
+// ServeRotation8x2 is the FP32 rotation workload over 2 dispatch shards.
 func ServeRotation8x2(b *testing.B) { serveRotation(b, 2, false) }
 
 // ServeRotation8x2Int8 is the INT8 rotation workload over 2 dispatch
-// shards with the adaptive policy.
+// shards.
 func ServeRotation8x2Int8(b *testing.B) { serveRotation(b, 2, true) }
 
-// ServeRotation8x4 is the FP32 rotation workload over 4 dispatch shards
-// with the adaptive policy.
+// ServeRotation8x4 is the FP32 rotation workload over 4 dispatch shards.
 func ServeRotation8x4(b *testing.B) { serveRotation(b, 4, false) }
 
 // ServeRotationPinned is the core-pinned lane configuration of the rotation
@@ -211,7 +215,7 @@ func ServeRotationPinned(b *testing.B) {
 		PinLanes: true,
 	}
 	if shards > 1 {
-		opts.Policy = serve.NewAIMDPolicy()
+		opts.Linger = shardedLinger
 	}
 	serveRotationOpts(b, opts, false)
 }
@@ -274,7 +278,7 @@ func ServeRemote8x2(b *testing.B) {
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   2,
-		Policy:   serve.NewAIMDPolicy(),
+		Linger:   shardedLinger,
 		Backend:  pool,
 	})
 	if err != nil {
@@ -354,7 +358,7 @@ func ServeRemoteWire8x2(b *testing.B) {
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   2,
-		Policy:   serve.NewAIMDPolicy(),
+		Linger:   shardedLinger,
 		Backend:  pool,
 	})
 	if err != nil {
@@ -522,7 +526,7 @@ func ServeChaos8x2(b *testing.B) {
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   2,
-		Policy:   serve.NewAIMDPolicy(),
+		Linger:   shardedLinger,
 		Backend:  fleet,
 	})
 	if err != nil {
@@ -628,9 +632,9 @@ func ServeChaos8x2(b *testing.B) {
 // attack is sustained overload instead of a dead peer — distinct-creative
 // flux (a cache-busting rotation the memo layer can't absorb) offered
 // open-loop at 2x the measured classification capacity while peer 1 serves
-// 20% of its requests ~100ms slow. The serving edge runs the unified
-// AdmissionController, and the row asserts the graded-brownout acceptance
-// contract:
+// 20% of its requests ~100ms slow. The serving edge's admission ladder is
+// armed by the shed deadline, and the row asserts the graded-brownout
+// acceptance contract:
 //
 //   - zero fail-open: shedding is the intended graded response, a chunk
 //     scored 0 because the transport gave up is not — engine error counters
@@ -674,7 +678,6 @@ func ServeOverload8x2(b *testing.B) {
 		failf(b, "%v", err)
 	}
 	defer fleet.Close()
-	adm := serve.NewAdmissionController(serve.AdmissionOptions{})
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch: 16,
 		Shards:   2,
@@ -683,10 +686,11 @@ func ServeOverload8x2(b *testing.B) {
 		// quickly (the coalescer absorbs followers without consuming slots —
 		// and at ~27 leader-fps, 16 slots/shard is already >1s of backlog
 		// against a 500 ms shed deadline), and a shed deadline that clears
-		// the healthy closed-loop tail with margin
+		// the healthy closed-loop tail with margin; the deadline also arms
+		// the admission ladder this row gates
 		QueueDepth: 16,
+		Linger:     shardedLinger,
 		Deadline:   500 * time.Millisecond,
-		Policy:     adm,
 		Backend:    fleet,
 	})
 	if err != nil {
@@ -694,6 +698,7 @@ func ServeOverload8x2(b *testing.B) {
 	}
 	defer srv.Close()
 	srv.Warm()
+	adm := srv.Admission()
 
 	// The workload is distinct-creative flux: with memoization and in-flight
 	// coalescing at the edge, repeated creatives are nearly free and total
@@ -735,8 +740,8 @@ func ServeOverload8x2(b *testing.B) {
 	}
 	healthyElapsed := time.Since(healthyStart)
 	healthyRate := float64(b.N*poolSize) / healthyElapsed.Seconds()
-	if srv.BrownoutStage() != serve.BrownoutNormal {
-		failf(b, "brownout stage %v under healthy closed-loop load", srv.BrownoutStage())
+	if adm.Stage() != serve.BrownoutNormal {
+		failf(b, "brownout stage %v under healthy closed-loop load", adm.Stage())
 	}
 
 	// phase 2: sustained overload, open-loop — 2x the measured healthy rate
@@ -799,7 +804,7 @@ func ServeOverload8x2(b *testing.B) {
 					}()
 					next = next.Add(interval)
 				}
-				st := int32(srv.BrownoutStage())
+				st := int32(adm.Stage())
 				for {
 					cur := maxStage.Load()
 					if st <= cur || maxStage.CompareAndSwap(cur, st) {
@@ -817,7 +822,7 @@ func ServeOverload8x2(b *testing.B) {
 	overloadElapsed := b.Elapsed()
 	// the backlog keeps resolving (and the ladder keeps evaluating) after the
 	// pacers stop — a transition during the drain still counts as engagement
-	if st := int32(srv.BrownoutStage()); st > maxStage.Load() {
+	if st := int32(adm.Stage()); st > maxStage.Load() {
 		maxStage.Store(st)
 	}
 
@@ -842,10 +847,10 @@ func ServeOverload8x2(b *testing.B) {
 	// load drops: the ladder must walk back to normal under light traffic
 	injs[1].Set(faultinject.Fault{})
 	releaseBy := time.Now().Add(15 * time.Second)
-	for i := 0; srv.BrownoutStage() != serve.BrownoutNormal; i++ {
+	for i := 0; adm.Stage() != serve.BrownoutNormal; i++ {
 		if time.Now().After(releaseBy) {
 			failf(b, "brownout stage %v did not release after load drop (pressure %.2f)",
-				srv.BrownoutStage(), adm.Pressure())
+				adm.Stage(), adm.Pressure())
 		}
 		// keep the release traffic leader-pure too: cached hits never reach
 		// the admission gate, and a ladder that only sees silence can't walk
@@ -862,16 +867,15 @@ func ServeOverload8x2(b *testing.B) {
 	reportFPS(b, answered.Load())
 }
 
-// ServeSteady8x2 is the sharded steady-state benchmark: 2 shards, AIMD
-// policy, memoization off — the 0 allocs/op gate for the sharded dispatch
-// hot path.
+// ServeSteady8x2 is the sharded steady-state benchmark: 2 shards,
+// memoization off — the 0 allocs/op gate for the sharded dispatch hot path.
 func ServeSteady8x2(b *testing.B) {
 	svc := PaperService(false)
 	frames := synth.SampleFrames(17, 64)
 	srv, err := serve.New(svc, serve.Options{
 		MaxBatch:     16,
 		Shards:       2,
-		Policy:       serve.NewAIMDPolicy(),
+		Linger:       shardedLinger,
 		DisableCache: true,
 	})
 	if err != nil {

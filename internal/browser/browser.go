@@ -57,7 +57,7 @@ type Config struct {
 	// service the moment its pixels are materialized — before layout — so
 	// classification runs concurrently with layout and rasterization, and
 	// the raster-time inspector merely resolves the in-flight verdict.
-	// Deployment shape (shard count, backend selection, adaptive batching)
+	// Deployment shape (shard count, backend selection, batching and admission)
 	// is the server's own serve.Options; the browser is agnostic to it —
 	// including when the server's dispatch shards proxy forward passes to
 	// remote model processes (serve.Options.Backend = engine.RemoteBackend

@@ -1,29 +1,35 @@
 package serve
 
-// AdmissionController is the unified per-shard overload controller: one
-// component that co-adapts the three levers the serving edge has — linger
-// (how long a coalescer holds an underfull batch), batch cap (how much work
-// one dispatch bites off), and admission itself (whether a new leader
-// request may enter the bounded queue at all) — from one smoothed pressure
-// signal, instead of three mechanisms each reading its own tea leaves.
+// AdmissionController is the serving edge's one batching and overload
+// controller: it sets the three levers the edge has — linger (how long a
+// coalescer holds an underfull batch), batch cap (how much work one
+// dispatch bites off), and admission itself (whether a new leader request
+// may enter the bounded queue at all) — from one smoothed pressure signal.
+// serve.New always builds one from Options.
+//
+// The linger is Options.Linger. The ladder below, its pressure signal and
+// the stage-adjusted cap and deadline act only when Options.Deadline > 0:
+// a zero deadline means "never shed", so the controller is then a fixed
+// linger and nothing else.
 //
 // Pressure folds the signals the stack already produces into one EWMA in
 // [0, ~1.25]:
 //
 //   - queue occupancy: every leader admission observes len(queue)/cap —
 //     the direct "are we keeping up" signal;
-//   - dispatch wait: every dispatched batch observes the oldest member's
-//     pre-dispatch wait over the shed deadline — catches worker saturation
-//     while queues still look shallow;
+//   - dispatch wait: every dispatched batch and every leader popped off the
+//     queue observes its pre-dispatch wait over the shed deadline — catches
+//     worker saturation while queues still look shallow;
+//   - deadline sheds: a leader that aged out counts at the ceiling,
+//     weighted by the followers coalesced behind it;
 //   - remote congestion: when the backend gates peers with CUBIC windows
 //     (engine.WindowReporter), mean in-flight/cwnd saturation is sampled —
 //     catches a congested fleet before the local queue backs up.
 //
-// The pressure drives a graded brownout ladder with hysteresis, replacing
-// the old binary deadline shed:
+// The pressure drives a graded brownout ladder with hysteresis:
 //
 //   stage 0 normal     — blocking admission (bounded by the shed deadline),
-//                        adaptive linger, full batch cap;
+//                        configured linger, full batch cap;
 //   stage 1 cache-only — over-budget requests get cache/coalesce service
 //                        only: admission stops blocking, a full queue sheds
 //                        immediately instead of queueing doomed work;
@@ -34,15 +40,11 @@ package serve
 //                        coalesce hits are still answered (repeats are the
 //                        common case — the cache IS the brownout capacity).
 //
-// Transitions move one stage at a time: escalate after pressure has held
-// above EnterPressure for EnterHold, release after it has held below
-// ExitPressure for ExitHold. The gap between the two thresholds plus the
-// hold times is the hysteresis that keeps the ladder from flapping on a
-// bursty boundary load.
-//
-// The controller is a Policy: the linger decision delegates to the wrapped
-// inner policy (the AIMD adaptive linger by default), demoted from
-// standalone authority to one input of the controller.
+// Transitions move one stage at a time and are evaluated after every
+// pressure sample: escalate after pressure has held above admEnter for the
+// enter hold, release after it has held below admExit for the exit hold.
+// The gap between the two thresholds plus the hold times is the hysteresis
+// that keeps the ladder from flapping on a bursty boundary load.
 
 import (
 	"fmt"
@@ -82,94 +84,55 @@ func (st BrownoutStage) String() string {
 	return fmt.Sprintf("stage(%d)", int32(st))
 }
 
-// Admission defaults; see AdmissionOptions.
+// Controller constants.
 const (
-	admDefaultEnter     = 0.75
-	admDefaultExit      = 0.35
-	admDefaultEnterHold = 100 * time.Millisecond
-	admDefaultExitHold  = 300 * time.Millisecond
-	admDefaultAlpha     = 0.1
-	admDefaultWinPeriod = 25 * time.Millisecond
-	// admDefaultWaitNorm normalizes dispatch waits into pressure when no
-	// shed deadline is configured.
-	admDefaultWaitNorm = 100 * time.Millisecond
+	// admEnter / admExit bound the hysteresis band: escalate above the
+	// first, release below the second.
+	admEnter = 0.75
+	admExit  = 0.35
+	// admEnterHold / admExitHold are how long pressure must sit past a
+	// threshold before the ladder moves one stage — brownout engages faster
+	// than it releases.
+	admEnterHold = 100 * time.Millisecond
+	admExitHold  = 300 * time.Millisecond
+	// admAlpha is the pressure EWMA smoothing factor.
+	admAlpha = 0.1
+	// admCeiling caps one pressure sample, so a pathological wait cannot
+	// inject more than a saturated queue does.
+	admCeiling = 1.25
+	// admWindowPeriod rate-limits remote-window sampling.
+	admWindowPeriod = 25 * time.Millisecond
 	// admWindowWeight discounts the remote-saturation signal: a pipeline
 	// briefly running at its window is normal; only sustained saturation
-	// should push past EnterPressure.
+	// should push past admEnter.
 	admWindowWeight = 0.9
+	// lingerFloor caps the linger under degraded brownout: with queues this
+	// deep, batches fill on their own and holding them open is pure added
+	// latency.
+	lingerFloor = 200 * time.Microsecond
 )
 
-// AdmissionOptions tunes an AdmissionController. The zero value gets
-// defaults from NewAdmissionController.
-type AdmissionOptions struct {
-	// Linger is the wrapped linger policy (default: NewAIMDPolicy()). An
-	// *AIMDPolicy with no Hist is wired to the service's latency histogram
-	// by serve.New, exactly as when used standalone.
-	Linger Policy
-	// EnterPressure / ExitPressure bound the hysteresis band (defaults
-	// 0.75 / 0.35): escalate above the first, release below the second.
-	EnterPressure float64
-	ExitPressure  float64
-	// EnterHold / ExitHold are how long pressure must sit past a threshold
-	// before the ladder moves one stage (defaults 100ms / 300ms — brownout
-	// engages faster than it releases).
-	EnterHold time.Duration
-	ExitHold  time.Duration
-	// Alpha is the pressure EWMA smoothing factor (default 0.1).
-	Alpha float64
-	// Windows feeds remote congestion-window saturation into the pressure
-	// signal. serve.New wires the service backend automatically when it
-	// reports windows (fleet or remote) and this is nil.
-	Windows engine.WindowReporter
-	// WindowPeriod rate-limits Windows sampling (default 25ms).
-	WindowPeriod time.Duration
-}
-
-func (o AdmissionOptions) withDefaults() AdmissionOptions {
-	if o.Linger == nil {
-		o.Linger = NewAIMDPolicy()
-	}
-	if o.EnterPressure <= 0 {
-		o.EnterPressure = admDefaultEnter
-	}
-	if o.ExitPressure <= 0 {
-		o.ExitPressure = admDefaultExit
-	}
-	if o.ExitPressure > o.EnterPressure {
-		o.ExitPressure = o.EnterPressure
-	}
-	if o.EnterHold <= 0 {
-		o.EnterHold = admDefaultEnterHold
-	}
-	if o.ExitHold <= 0 {
-		o.ExitHold = admDefaultExitHold
-	}
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		o.Alpha = admDefaultAlpha
-	}
-	if o.WindowPeriod <= 0 {
-		o.WindowPeriod = admDefaultWinPeriod
-	}
-	return o
-}
-
-// AdmissionController is the unified overload controller (see the package
-// comment above the type set). Safe for concurrent use from every shard's
-// submitters, coalescers, and workers.
+// AdmissionController is the unified batching and overload controller (see
+// the comment above the type set). Safe for concurrent use from every
+// shard's submitters, coalescers, and workers.
 type AdmissionController struct {
-	opts  AdmissionOptions
-	inner Policy
+	hold     time.Duration         // Options.Linger
+	deadline time.Duration         // Options.Deadline; 0 leaves the ladder off
+	maxBatch int                   // Options.MaxBatch
+	windows  engine.WindowReporter // remote congestion feed, nil for none
+
+	// enterHold / exitHold are admEnterHold / admExitHold; tests shorten them.
+	enterHold, exitHold time.Duration
 
 	stage    atomic.Int32
 	pressure atomic.Uint64 // math.Float64bits of the EWMA
-	deadline atomic.Int64  // configured shed deadline, ns (wait normalizer)
 
-	// ladder/bookkeeping state, TryLock'd from the hot path: a submission
-	// that loses the race simply leaves the evaluation to the winner.
+	// ladder/bookkeeping state, TryLock'd from the hot path: a sample that
+	// loses the race simply leaves the evaluation to the winner.
 	mu      sync.Mutex
-	above   time.Time // since when pressure has sat above EnterPressure
-	below   time.Time // since when pressure has sat below ExitPressure
-	lastWin time.Time // last Windows sample
+	above   time.Time // since when pressure has sat above admEnter
+	below   time.Time // since when pressure has sat below admExit
+	lastWin time.Time // last windows sample
 	winSat  float64   // last sampled mean in-flight/cwnd over peers
 
 	transitions metrics.Counter // ladder moves, either direction
@@ -178,18 +141,19 @@ type AdmissionController struct {
 	now func() time.Time // test clock hook
 }
 
-// NewAdmissionController builds a controller at stage 0.
-func NewAdmissionController(opts AdmissionOptions) *AdmissionController {
-	opts = opts.withDefaults()
+// newAdmissionController builds a controller at stage 0 from defaulted
+// Options, reading congestion from windows (nil for none).
+func newAdmissionController(opts Options, windows engine.WindowReporter) *AdmissionController {
 	return &AdmissionController{
-		opts:  opts,
-		inner: opts.Linger,
-		now:   time.Now,
+		hold:      opts.Linger,
+		deadline:  opts.Deadline,
+		maxBatch:  opts.MaxBatch,
+		windows:   windows,
+		enterHold: admEnterHold,
+		exitHold:  admExitHold,
+		now:       time.Now,
 	}
 }
-
-// Inner returns the wrapped linger policy.
-func (c *AdmissionController) Inner() Policy { return c.inner }
 
 // Stage returns the ladder's current stage.
 func (c *AdmissionController) Stage() BrownoutStage {
@@ -209,51 +173,54 @@ func (c *AdmissionController) Transitions() int64 { return c.transitions.Load() 
 // sheds are not included.
 func (c *AdmissionController) AdmissionSheds() int64 { return c.admSheds.Load() }
 
-// setDeadline publishes the configured shed deadline as the dispatch-wait
-// normalizer (serve.New calls this; a zero deadline falls back to
-// admDefaultWaitNorm).
-func (c *AdmissionController) setDeadline(d time.Duration) { c.deadline.Store(int64(d)) }
-
-func (c *AdmissionController) waitNorm() time.Duration {
-	if d := time.Duration(c.deadline.Load()); d > 0 {
-		return d
+// sample folds one pressure reading x into the EWMA with weight w (CAS
+// loop: the hot path never blocks on a lock for this), then advances the
+// ladder. A no-op with the ladder off.
+func (c *AdmissionController) sample(x, w float64) {
+	if c.deadline <= 0 {
+		return
 	}
-	return admDefaultWaitNorm
-}
-
-// observe folds one pressure sample into the EWMA (CAS loop: the hot path
-// never blocks on a lock for this).
-func (c *AdmissionController) observe(x float64) {
+	if x > admCeiling {
+		x = admCeiling
+	}
 	for {
 		old := c.pressure.Load()
 		p := math.Float64frombits(old)
-		p += c.opts.Alpha * (x - p)
+		p += w * (x - p)
 		if c.pressure.CompareAndSwap(old, math.Float64bits(p)) {
-			return
+			break
 		}
 	}
+	c.evaluate(c.now())
 }
 
-// AdmitQueue is called once per leader admission with the shard queue's
+// waitPressure normalizes a wait by the shed deadline.
+func (c *AdmissionController) waitPressure(wait time.Duration) float64 {
+	return float64(wait) / float64(c.deadline)
+}
+
+// admit is called once per leader admission with the shard queue's
 // occupancy. It feeds the pressure signal, advances the ladder, and returns
 // the stage the submission must obey.
-func (c *AdmissionController) AdmitQueue(qlen, qcap int) BrownoutStage {
+func (c *AdmissionController) admit(qlen, qcap int) BrownoutStage {
+	if c.deadline <= 0 {
+		return BrownoutNormal
+	}
 	x := 0.0
 	if qcap > 0 {
 		x = float64(qlen) / float64(qcap)
 	}
-	if c.opts.Windows != nil {
+	if c.windows != nil {
 		if sat := c.sampleWindows(); sat*admWindowWeight > x {
 			x = sat * admWindowWeight
 		}
 	}
-	c.observe(x)
-	c.evaluate(c.now())
+	c.sample(x, admAlpha)
 	return c.Stage()
 }
 
 // sampleWindows refreshes the remote-saturation reading at most once per
-// WindowPeriod and returns the latest value: the mean, over peers, of
+// admWindowPeriod and returns the latest value: the mean, over peers, of
 // in-flight depth against the congestion window. A fleet pinned at its
 // windows is congested no matter how shallow the local queues are. The
 // reporter's rows cover only peers that can take traffic (the fleet
@@ -267,9 +234,9 @@ func (c *AdmissionController) sampleWindows() float64 {
 		return 0 // a concurrent sampler owns the fresh value this instant
 	}
 	defer c.mu.Unlock()
-	if now.Sub(c.lastWin) >= c.opts.WindowPeriod {
+	if now.Sub(c.lastWin) >= admWindowPeriod {
 		c.lastWin = now
-		stats := c.opts.Windows.WindowStats()
+		stats := c.windows.WindowStats()
 		sat := 0.0
 		for _, st := range stats {
 			limit := st.Cwnd
@@ -290,9 +257,9 @@ func (c *AdmissionController) sampleWindows() float64 {
 	return c.winSat
 }
 
-// evaluate advances the hysteresis ladder: one stage per EnterHold above
-// EnterPressure, one stage back per ExitHold below ExitPressure. TryLock —
-// concurrent submissions race to evaluate and only one needs to win.
+// evaluate advances the hysteresis ladder: one stage per enter hold above
+// admEnter, one stage back per exit hold below admExit. TryLock —
+// concurrent samples race to evaluate and only one needs to win.
 func (c *AdmissionController) evaluate(now time.Time) {
 	if !c.mu.TryLock() {
 		return
@@ -301,22 +268,22 @@ func (c *AdmissionController) evaluate(now time.Time) {
 	p := c.Pressure()
 	st := c.stage.Load()
 	switch {
-	case p >= c.opts.EnterPressure:
+	case p >= admEnter:
 		c.below = time.Time{}
 		if c.above.IsZero() {
 			c.above = now
 		}
-		if st < int32(BrownoutShed) && now.Sub(c.above) >= c.opts.EnterHold {
+		if st < int32(BrownoutShed) && now.Sub(c.above) >= c.enterHold {
 			c.stage.Store(st + 1)
 			c.transitions.Inc()
 			c.above = now // the next step needs its own sustained hold
 		}
-	case p <= c.opts.ExitPressure:
+	case p <= admExit:
 		c.above = time.Time{}
 		if c.below.IsZero() {
 			c.below = now
 		}
-		if st > int32(BrownoutNormal) && now.Sub(c.below) >= c.opts.ExitHold {
+		if st > int32(BrownoutNormal) && now.Sub(c.below) >= c.exitHold {
 			c.stage.Store(st - 1)
 			c.transitions.Inc()
 			c.below = now
@@ -327,38 +294,49 @@ func (c *AdmissionController) evaluate(now time.Time) {
 	}
 }
 
-// Linger implements Policy: the inner policy's budget normally, the floor
-// under degraded brownout — with queues this deep, batches fill on their
-// own and holding them open is pure added latency.
-func (c *AdmissionController) Linger() time.Duration {
+// linger is the coalescer's batch hold: Options.Linger, capped at the
+// floor under degraded brownout.
+func (c *AdmissionController) linger() time.Duration {
+	if c.hold > lingerFloor && c.Stage() >= BrownoutDegraded {
+		return lingerFloor
+	}
+	return c.hold
+}
+
+// batchCap is the stage-adjusted dispatch bite: Options.MaxBatch normally,
+// half (floor 1) under degraded brownout.
+func (c *AdmissionController) batchCap() int {
+	if c.maxBatch >= 2 && c.Stage() >= BrownoutDegraded {
+		return c.maxBatch / 2
+	}
+	return c.maxBatch
+}
+
+// shedDeadline is the stage-adjusted shed deadline: Options.Deadline
+// normally, halved under degraded brownout (0 stays 0 — disabled is
+// disabled).
+func (c *AdmissionController) shedDeadline() time.Duration {
 	if c.Stage() >= BrownoutDegraded {
-		if a, ok := c.inner.(*AIMDPolicy); ok {
-			return a.minOr()
-		}
-		return aimdDefaultMin
+		return c.deadline / 2
 	}
-	return c.inner.Linger()
+	return c.deadline
 }
 
-// ObserveBatch implements Policy: the batch feeds the inner linger policy
-// and its dispatch wait (normalized by the shed deadline) feeds pressure —
-// the signal that catches saturated workers behind shallow queues.
-func (c *AdmissionController) ObserveBatch(fill, maxBatch int, wait time.Duration) {
-	c.inner.ObserveBatch(fill, maxBatch, wait)
-	x := float64(wait) / float64(c.waitNorm())
-	if x > 1.25 {
-		x = 1.25
-	}
-	c.observe(x)
+// observeBatch feeds one dispatched batch's pre-dispatch wait (the oldest
+// member's queue + linger time, normalized by the shed deadline) into
+// pressure — the signal that catches saturated workers behind shallow
+// queues.
+func (c *AdmissionController) observeBatch(wait time.Duration) {
+	c.sample(c.waitPressure(wait), admAlpha)
 }
 
-// ObserveShed counts one ladder-driven admission shed. Deliberately not a
+// observeShed counts one ladder-driven admission shed. Deliberately not a
 // pressure input: at stage 3 every leader sheds, and feeding those back in
 // would pin the pressure high after the load is gone — the ladder could
 // never release. Occupancy and dispatch waits are the ground truth.
-func (c *AdmissionController) ObserveShed() { c.admSheds.Inc() }
+func (c *AdmissionController) observeShed() { c.admSheds.Inc() }
 
-// ObserveDispatchWait feeds one leader's queue age (sampled as it leaves
+// observeDispatchWait feeds one leader's queue age (sampled as it leaves
 // the queue) into the pressure signal, normalized by the shed deadline. In
 // a coalescing service the queue can stay structurally shallow — the leader
 // population is bounded by the distinct-creative count — while every leader
@@ -367,64 +345,30 @@ func (c *AdmissionController) ObserveShed() { c.admSheds.Inc() }
 // occupancy samples, so neither signal drowns the other in the shared EWMA.
 // Stage 3 sheds leaders at the edge, so no pops happen there and the signal
 // naturally decays — the ladder can always release.
-func (c *AdmissionController) ObserveDispatchWait(age time.Duration) {
-	x := float64(age) / float64(c.waitNorm())
-	if x > 1.25 {
-		x = 1.25
-	}
-	c.observe(x)
+func (c *AdmissionController) observeDispatchWait(age time.Duration) {
+	c.sample(c.waitPressure(age), admAlpha)
 }
 
-// ObserveOverloadShed feeds one deadline-driven shed — a leader that aged
+// observeOverloadShed feeds one deadline-driven shed — a leader that aged
 // out at the queue door or at dispatch — into the pressure signal at the
 // saturation ceiling, weighted by the whole request mass it took down (the
 // leader plus every follower coalesced behind it). Mass matters: in a
 // coalescing service one stalled leader can carry hundreds of submissions,
 // and counting it as a single sample lets the high-rate low-pressure
 // admission samples drown the event. This is NOT the ladder's own shedding
-// (ObserveShed): ladder sheds are the controller's output and feeding them
+// (observeShed): ladder sheds are the controller's output and feeding them
 // back would pin the pressure at stage 3 forever; deadline sheds only
 // happen when dispatch genuinely cannot keep up.
-func (c *AdmissionController) ObserveOverloadShed(mass int) {
+func (c *AdmissionController) observeOverloadShed(mass int) {
 	if mass < 1 {
 		mass = 1
 	}
-	// fold equivalent to mass consecutive observations of the ceiling
-	const x = 1.25
-	w := 1 - math.Pow(1-c.opts.Alpha, float64(mass))
-	for {
-		old := c.pressure.Load()
-		p := math.Float64frombits(old)
-		p += w * (x - p)
-		if c.pressure.CompareAndSwap(old, math.Float64bits(p)) {
-			return
-		}
-	}
-}
-
-// BatchCap is the stage-adjusted dispatch bite: the configured MaxBatch
-// normally, half (floor 1) under degraded brownout.
-func (c *AdmissionController) BatchCap(configured int) int {
-	if c.Stage() >= BrownoutDegraded {
-		if configured >= 2 {
-			return configured / 2
-		}
-		return 1
-	}
-	return configured
-}
-
-// ShedDeadline is the stage-adjusted shed deadline: configured normally,
-// halved under degraded brownout (0 stays 0 — disabled is disabled).
-func (c *AdmissionController) ShedDeadline(configured time.Duration) time.Duration {
-	if configured > 0 && c.Stage() >= BrownoutDegraded {
-		return configured / 2
-	}
-	return configured
+	// equivalent to mass consecutive samples at the ceiling
+	c.sample(admCeiling, 1-math.Pow(1-admAlpha, float64(mass)))
 }
 
 // Expose renders the controller's gauges in Prometheus text exposition
-// format (the daemon's /metrics appends this when admission is on).
+// format (the daemon's /metrics appends this).
 func (c *AdmissionController) Expose() string {
 	return fmt.Sprintf("percival_serve_brownout_stage %d\n", c.Stage()) +
 		fmt.Sprintf("percival_serve_admission_pressure %.4f\n", c.Pressure()) +

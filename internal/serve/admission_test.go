@@ -35,8 +35,21 @@ func (c *admClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func testController(opts AdmissionOptions) (*AdmissionController, *admClock) {
-	c := NewAdmissionController(opts)
+// testController builds a ladder-armed controller (1ms linger, 1s
+// deadline, batch cap 16 unless opts sets them) on a fake clock, with
+// 50ms enter and exit holds.
+func testController(opts Options, windows engine.WindowReporter) (*AdmissionController, *admClock) {
+	if opts.Linger == 0 {
+		opts.Linger = time.Millisecond
+	}
+	if opts.Deadline == 0 {
+		opts.Deadline = time.Second
+	}
+	if opts.MaxBatch == 0 {
+		opts.MaxBatch = 16
+	}
+	c := newAdmissionController(opts, windows)
+	c.enterHold, c.exitHold = 50*time.Millisecond, 50*time.Millisecond
 	clk := newAdmClock()
 	c.now = clk.now
 	return c, clk
@@ -47,16 +60,12 @@ func testController(opts AdmissionOptions) (*AdmissionController, *admClock) {
 func drive(c *AdmissionController, clk *admClock, n int, qlen, qcap int, dt time.Duration) {
 	for i := 0; i < n; i++ {
 		clk.advance(dt)
-		c.AdmitQueue(qlen, qcap)
+		c.admit(qlen, qcap)
 	}
 }
 
 func TestAdmissionLadderEscalatesAndReleases(t *testing.T) {
-	c, clk := testController(AdmissionOptions{
-		Linger:    FixedPolicy{D: time.Millisecond},
-		EnterHold: 50 * time.Millisecond,
-		ExitHold:  50 * time.Millisecond,
-	})
+	c, clk := testController(Options{}, nil)
 	if c.Stage() != BrownoutNormal {
 		t.Fatalf("fresh controller at stage %v", c.Stage())
 	}
@@ -76,13 +85,7 @@ func TestAdmissionLadderEscalatesAndReleases(t *testing.T) {
 }
 
 func TestAdmissionLadderHysteresis(t *testing.T) {
-	c, clk := testController(AdmissionOptions{
-		Linger:        FixedPolicy{D: time.Millisecond},
-		EnterPressure: 0.75,
-		ExitPressure:  0.35,
-		EnterHold:     50 * time.Millisecond,
-		ExitHold:      50 * time.Millisecond,
-	})
+	c, clk := testController(Options{}, nil)
 	// a short burst (shorter than EnterHold) must not move the ladder
 	drive(c, clk, 100, 64, 64, 100*time.Microsecond)
 	if c.Stage() != BrownoutNormal {
@@ -106,31 +109,65 @@ func TestAdmissionLadderHysteresis(t *testing.T) {
 }
 
 func TestAdmissionStageAdjustedKnobs(t *testing.T) {
-	c, _ := testController(AdmissionOptions{Linger: FixedPolicy{D: 4 * time.Millisecond}})
-	if got := c.BatchCap(16); got != 16 {
+	c, _ := testController(Options{Linger: 4 * time.Millisecond}, nil)
+	if got := c.batchCap(); got != 16 {
 		t.Fatalf("stage-0 batch cap = %d, want 16", got)
 	}
-	if got := c.ShedDeadline(time.Second); got != time.Second {
+	if got := c.shedDeadline(); got != time.Second {
 		t.Fatalf("stage-0 deadline = %v, want 1s", got)
 	}
-	if got := c.Linger(); got != 4*time.Millisecond {
-		t.Fatalf("stage-0 linger = %v, want the inner policy's 4ms", got)
+	if got := c.linger(); got != 4*time.Millisecond {
+		t.Fatalf("stage-0 linger = %v, want the configured 4ms", got)
 	}
 	c.stage.Store(int32(BrownoutDegraded))
-	if got := c.BatchCap(16); got != 8 {
+	if got := c.batchCap(); got != 8 {
 		t.Fatalf("degraded batch cap = %d, want 8", got)
 	}
-	if got := c.BatchCap(1); got != 1 {
-		t.Fatalf("degraded batch cap floor = %d, want 1", got)
-	}
-	if got := c.ShedDeadline(time.Second); got != 500*time.Millisecond {
+	if got := c.shedDeadline(); got != 500*time.Millisecond {
 		t.Fatalf("degraded deadline = %v, want 500ms", got)
 	}
-	if got := c.ShedDeadline(0); got != 0 {
+	if got := c.linger(); got != lingerFloor {
+		t.Fatalf("degraded linger = %v, want the %v floor", got, lingerFloor)
+	}
+
+	one, _ := testController(Options{MaxBatch: 1, Linger: 50 * time.Microsecond}, nil)
+	one.stage.Store(int32(BrownoutDegraded))
+	if got := one.batchCap(); got != 1 {
+		t.Fatalf("degraded batch cap floor = %d, want 1", got)
+	}
+	if got := one.linger(); got != 50*time.Microsecond {
+		t.Fatalf("degraded linger = %v, want the configured 50µs (below the floor)", got)
+	}
+
+	off := newAdmissionController(Options{Linger: time.Millisecond, MaxBatch: 16}, nil)
+	off.stage.Store(int32(BrownoutDegraded))
+	if got := off.shedDeadline(); got != 0 {
 		t.Fatalf("disabled deadline must stay disabled, got %v", got)
 	}
-	if got := c.Linger(); got != aimdDefaultMin {
-		t.Fatalf("degraded linger = %v, want the %v floor", got, aimdDefaultMin)
+}
+
+// TestAdmissionLadderMovesOnBatchPressure: dispatch waits alone — no
+// leader admission in between — must move the ladder. A worker-saturated
+// shard keeps reporting batches whose oldest member waited its whole
+// deadline, and that pressure has to engage brownout on its own.
+func TestAdmissionLadderMovesOnBatchPressure(t *testing.T) {
+	c, clk := testController(Options{Deadline: 100 * time.Millisecond}, nil)
+	for i := 0; i < 100; i++ {
+		clk.advance(5 * time.Millisecond)
+		c.observeBatch(100 * time.Millisecond)
+	}
+	if c.Stage() < BrownoutCacheOnly {
+		t.Fatalf("saturated dispatch waits left the ladder at %v (pressure %.2f)",
+			c.Stage(), c.Pressure())
+	}
+	// and quiet batches alone walk it back down
+	for i := 0; i < 400; i++ {
+		clk.advance(5 * time.Millisecond)
+		c.observeBatch(0)
+	}
+	if c.Stage() != BrownoutNormal {
+		t.Fatalf("quiet dispatch waits left the ladder at %v (pressure %.2f)",
+			c.Stage(), c.Pressure())
 	}
 }
 
@@ -169,14 +206,10 @@ func (b slowBackend) InferBatchInto(frames []*imaging.Bitmap, out []float64) []f
 func TestAdmissionRemoteSaturationSignal(t *testing.T) {
 	// every peer pinned at its window: remote congestion alone must push
 	// pressure past EnterPressure even though the local queue is empty
-	c, clk := testController(AdmissionOptions{
-		Linger:    FixedPolicy{D: time.Millisecond},
-		EnterHold: 50 * time.Millisecond,
-		Windows: stubWindows{stats: []engine.WindowStat{
-			{Peer: "a", Cwnd: 1, InFlight: 1},
-			{Peer: "b", Cwnd: 2, InFlight: 2},
-		}},
-	})
+	c, clk := testController(Options{}, stubWindows{stats: []engine.WindowStat{
+		{Peer: "a", Cwnd: 1, InFlight: 1},
+		{Peer: "b", Cwnd: 2, InFlight: 2},
+	}})
 	drive(c, clk, 100, 0, 64, 5*time.Millisecond)
 	if c.Stage() < BrownoutCacheOnly {
 		t.Fatalf("remote saturation did not engage brownout: stage %v, pressure %.2f",
@@ -190,23 +223,22 @@ func TestAdmissionRemoteSaturationSignal(t *testing.T) {
 // and mass-weighted deadline sheds.
 func TestAdmissionCoalescedPressureSignals(t *testing.T) {
 	newC := func() *AdmissionController {
-		c, _ := testController(AdmissionOptions{Linger: FixedPolicy{D: time.Millisecond}})
-		c.setDeadline(100 * time.Millisecond)
+		c, _ := testController(Options{Deadline: 100 * time.Millisecond}, nil)
 		return c
 	}
 
 	// a leader popped at exactly its shed deadline is a full-pressure sample
 	c := newC()
-	c.ObserveDispatchWait(100 * time.Millisecond)
-	if want := c.opts.Alpha * 1.0; math.Abs(c.Pressure()-want) > 1e-9 {
+	c.observeDispatchWait(100 * time.Millisecond)
+	if want := admAlpha * 1.0; math.Abs(c.Pressure()-want) > 1e-9 {
 		t.Fatalf("deadline-age dispatch wait moved pressure to %.4f, want %.4f",
 			c.Pressure(), want)
 	}
 
 	// a pathological age is clamped: one sample can't inject more than 1.25
 	c = newC()
-	c.ObserveDispatchWait(10 * time.Second)
-	if want := c.opts.Alpha * 1.25; math.Abs(c.Pressure()-want) > 1e-9 {
+	c.observeDispatchWait(10 * time.Second)
+	if want := admAlpha * 1.25; math.Abs(c.Pressure()-want) > 1e-9 {
 		t.Fatalf("clamped dispatch wait moved pressure to %.4f, want %.4f",
 			c.Pressure(), want)
 	}
@@ -215,9 +247,9 @@ func TestAdmissionCoalescedPressureSignals(t *testing.T) {
 	// 64 coalesced clients must move pressure like the crowd it shed, not
 	// like one EWMA sample
 	lone, crowd := newC(), newC()
-	lone.ObserveOverloadShed(1)
-	crowd.ObserveOverloadShed(64)
-	if want := lone.opts.Alpha * 1.25; math.Abs(lone.Pressure()-want) > 1e-9 {
+	lone.observeOverloadShed(1)
+	crowd.observeOverloadShed(64)
+	if want := admAlpha * 1.25; math.Abs(lone.Pressure()-want) > 1e-9 {
 		t.Fatalf("mass-1 shed moved pressure to %.4f, want %.4f", lone.Pressure(), want)
 	}
 	if crowd.Pressure() < 1.0 {
@@ -228,7 +260,7 @@ func TestAdmissionCoalescedPressureSignals(t *testing.T) {
 	// ladder-driven sheds stay excluded — at stage 3 every leader sheds, and
 	// feeding those back in would hold the ladder up after the load is gone
 	c = newC()
-	c.ObserveShed()
+	c.observeShed()
 	if c.Pressure() != 0 {
 		t.Fatalf("ladder shed moved pressure to %.4f, want 0", c.Pressure())
 	}
@@ -241,17 +273,18 @@ func TestAdmissionCoalescedPressureSignals(t *testing.T) {
 // stage 3: fresh leaders shed at admission without occupying queue
 // capacity, while verdicts already cached keep being answered.
 func TestServeStage3ShedsAtEdgeButServesCache(t *testing.T) {
-	ac := NewAdmissionController(AdmissionOptions{Linger: FixedPolicy{D: time.Millisecond}})
 	s := testServer(t, core.Options{}, Options{
-		MaxBatch: 4, Workers: 1, Shards: 1, Policy: ac,
+		MaxBatch: 4, Workers: 1, Shards: 1, Linger: time.Millisecond,
+		Deadline: time.Second,
 	})
+	ac := s.Admission()
 	frames := synth.SampleFrames(3, 5)
 	// warm a verdict into the cache at stage 0
 	if res := s.Submit(frames[0]); res.Status != StatusClassified {
 		t.Fatalf("warm submit resolved %v", res.Status)
 	}
 	ac.stage.Store(int32(BrownoutShed))
-	// hold the pressure at the ceiling so AdmitQueue's evaluate cannot
+	// hold the pressure at the ceiling so admit's evaluate cannot
 	// release the pinned stage mid-test
 	ac.pressure.Store(pressureBits(1.0))
 	if res := s.Submit(frames[0]); res.Status != StatusCached {
@@ -322,7 +355,7 @@ func TestServeAdmissionDeadlineShedsBlockedSubmitter(t *testing.T) {
 }
 
 func TestAdmissionExpose(t *testing.T) {
-	c, _ := testController(AdmissionOptions{Linger: FixedPolicy{D: time.Millisecond}})
+	c, _ := testController(Options{}, nil)
 	out := c.Expose()
 	for _, want := range []string{
 		"percival_serve_brownout_stage 0",
@@ -333,5 +366,116 @@ func TestAdmissionExpose(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Expose output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestAdaptiveServerServes: a multi-shard server with the admission ladder
+// armed still produces the synchronous classifier's verdicts, and under
+// no load the controller holds stage 0 and the configured linger.
+func TestAdaptiveServerServes(t *testing.T) {
+	svc := testCore(t, core.Options{})
+	s, err := New(svc, Options{
+		Shards: 2, Workers: 2, MaxBatch: 4, Linger: 200 * time.Microsecond,
+		Deadline: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	frames := synth.SampleFrames(71, 24)
+	for i, f := range frames {
+		r := s.Submit(f)
+		if r.Status == StatusShed {
+			t.Fatalf("frame %d shed with no load", i)
+		}
+		if want := svc.Classify(f); r.Score != want {
+			t.Fatalf("frame %d: served score %v, sync %v", i, r.Score, want)
+		}
+	}
+	if st := s.Admission().Stage(); st != BrownoutNormal {
+		t.Fatalf("ladder at %v with no load", st)
+	}
+	if got := s.Admission().linger(); got != 200*time.Microsecond {
+		t.Fatalf("linger %v, want the configured 200µs", got)
+	}
+}
+
+// TestNoDeadlineNeverSheds: Deadline 0 means "never shed", and that holds
+// for the ladder too — a saturated closed loop (a jammed one-slot queue in
+// front of a slow model) blocks its submitters but never leaves
+// BrownoutNormal, moves the pressure signal, or sheds a request.
+func TestNoDeadlineNeverSheds(t *testing.T) {
+	s := testServer(t, core.Options{}, Options{
+		MaxBatch: 1, Workers: 1, Shards: 1, QueueDepth: 1,
+		Backend: slowBackend{d: 20 * time.Millisecond, res: 16},
+	})
+	frames := synth.SampleFrames(73, 8)
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if r := s.Submit(frames[(c+i)%len(frames)]); r.Status == StatusShed {
+					t.Error("request shed with Deadline 0")
+				}
+				s.ResetCache()
+			}
+		}(c)
+	}
+	wg.Wait()
+	adm := s.Admission()
+	if adm.Stage() != BrownoutNormal || adm.Transitions() != 0 || adm.Pressure() != 0 {
+		t.Fatalf("ladder moved with Deadline 0: stage %v, %d transitions, pressure %.2f",
+			adm.Stage(), adm.Transitions(), adm.Pressure())
+	}
+	if n := s.Metrics().Shed.Load(); n != 0 {
+		t.Fatalf("%d requests shed with Deadline 0", n)
+	}
+}
+
+// panicBackend is slowBackend without the sleep, panicking on one sentinel
+// frame — a backend bug the serving edge must contain.
+type panicBackend struct {
+	slowBackend
+	poison *imaging.Bitmap
+}
+
+func (b panicBackend) Replicate() engine.Backend { return b }
+
+func (b panicBackend) InferBatchInto(frames []*imaging.Bitmap, out []float64) []float64 {
+	for _, f := range frames {
+		if f == b.poison {
+			panic("poisoned frame")
+		}
+	}
+	return b.slowBackend.InferBatchInto(frames, out)
+}
+
+// TestWorkerRecoversBackendPanic: a panic inside the backend's forward
+// pass sheds only the batch it hit — counted in WorkerPanics — and the
+// same worker goes on to score the next frame.
+func TestWorkerRecoversBackendPanic(t *testing.T) {
+	frames := synth.SampleFrames(79, 2)
+	s := testServer(t, core.Options{}, Options{
+		MaxBatch: 1, Workers: 1, Shards: 1,
+		Backend: panicBackend{slowBackend: slowBackend{res: 16}, poison: frames[0]},
+	})
+	if r := s.Submit(frames[0]); r.Status != StatusShed || r.Ad {
+		t.Fatalf("poisoned frame resolved %+v, want a fail-open shed", r)
+	}
+	if r := s.Submit(frames[1]); r.Status != StatusClassified || r.Score != 0.5 {
+		t.Fatalf("frame after the panic resolved %+v, want classified at 0.5", r)
+	}
+	m := s.Metrics()
+	if n := m.WorkerPanics.Load(); n != 1 {
+		t.Fatalf("WorkerPanics = %d, want 1", n)
+	}
+	if !strings.Contains(m.Expose(), "percival_serve_worker_panics_total 1") {
+		t.Fatal("worker panics missing from the metrics exposition")
+	}
+	// the poisoned frame's verdict must not have been memoized
+	if r := s.Submit(frames[0]); r.Status != StatusShed {
+		t.Fatalf("poisoned frame resubmitted resolved %v, want shed again", r.Status)
 	}
 }

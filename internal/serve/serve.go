@@ -24,9 +24,9 @@
 //     StatusShed ("verdict unknown", render the frame) instead of growing
 //     the queue without bound.
 //
-// How long a batcher holds an underfull batch open is set by a Policy: a
-// fixed linger by default, or the AIMD adaptive policy (see policy.go)
-// that tunes the linger against the live latency histogram.
+// One AdmissionController (admission.go) sets how long a batcher holds an
+// underfull batch open, how large a batch may grow, and — when a shed
+// deadline is configured — walks a graded brownout ladder under overload.
 //
 // Counters and latency histograms are exported through internal/metrics and
 // rendered by cmd/percival-serve's /metrics endpoint.
@@ -35,7 +35,9 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
+	"log"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -97,8 +99,8 @@ type Options struct {
 	// matching the engine batch chunk so one dispatch is one forward pass).
 	MaxBatch int
 	// Linger is how long a coalescer holds an underfull batch open waiting
-	// for more submissions (default 2ms) when no Policy is set. Smaller
-	// favors latency, larger favors batch fill.
+	// for more submissions (default 2ms; capped at 200µs under degraded
+	// brownout). Smaller favors latency, larger favors batch fill.
 	Linger time.Duration
 	// Workers is the total number of dispatch workers across all shards,
 	// each driving warm inference state (default GOMAXPROCS). Split evenly
@@ -109,7 +111,8 @@ type Options struct {
 	// backpressure, not buffering.
 	QueueDepth int
 	// Deadline sheds requests that waited longer than this before their
-	// batch was dispatched (0 disables shedding).
+	// batch was dispatched, and arms the admission controller's brownout
+	// ladder (0 disables both).
 	Deadline time.Duration
 	// CacheSize bounds the verdict cache in total entries across all
 	// shards (default 4096).
@@ -138,14 +141,6 @@ type Options struct {
 	// active backend). Each shard replicates it, so the value passed here
 	// never serves traffic directly.
 	Backend engine.Backend
-	// Policy sets the adaptive linger/batch policy (default: fixed Linger).
-	// An *AIMDPolicy with no Hist is wired to the service's own latency
-	// histogram. An *AdmissionController additionally takes over admission:
-	// graded brownout, stage-adjusted batch cap and shed deadline (its
-	// wrapped linger policy gets the same histogram wiring, and its remote
-	// congestion feed defaults to the service backend when that reports
-	// windows).
-	Policy Policy
 }
 
 func (o Options) withDefaults() Options {
@@ -188,13 +183,14 @@ type Metrics struct {
 	Shed metrics.Counter
 	// Batches counts dispatched forward passes.
 	Batches metrics.Counter
+	// WorkerPanics counts forward passes that panicked inside the backend;
+	// each one's batch resolved as StatusShed and the worker kept serving.
+	WorkerPanics metrics.Counter
 	// BatchFill records frames per dispatched batch.
 	BatchFill *metrics.Histogram
 	// LatencyMS records enqueue→resolve latency for model-scored frames.
-	// Shed resolutions are deliberately excluded: the AIMD policy holds this
-	// histogram's tail to its wait budget, and shed waits (which are capped
-	// by the deadline regardless of what the policy does) would bias its
-	// linger halvings. They go to ShedWaitMS instead.
+	// Shed resolutions go to ShedWaitMS instead: their waits are capped by
+	// the deadline, not set by the model.
 	LatencyMS *metrics.Histogram
 	// ShedWaitMS records enqueue→shed wait for rejected requests.
 	ShedWaitMS *metrics.Histogram
@@ -220,6 +216,7 @@ func (m *Metrics) Expose() string {
 		metrics.ExposeCounter("percival_serve_classified_total", &m.Classified) +
 		metrics.ExposeCounter("percival_serve_shed_total", &m.Shed) +
 		metrics.ExposeCounter("percival_serve_batches_total", &m.Batches) +
+		metrics.ExposeCounter("percival_serve_worker_panics_total", &m.WorkerPanics) +
 		m.BatchFill.Expose("percival_serve_batch_fill") +
 		m.LatencyMS.Expose("percival_serve_latency_ms") +
 		m.ShedWaitMS.Expose("percival_serve_shed_wait_ms")
@@ -282,8 +279,7 @@ type shard struct {
 type Server struct {
 	svc    *core.Percival
 	opts   Options
-	policy Policy
-	adm    *AdmissionController // non-nil when Policy is an AdmissionController
+	adm    *AdmissionController
 	shards []*shard
 
 	// partitionedPool records that New partitioned the tensor worker pool
@@ -327,14 +323,13 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 	if backend == nil {
 		backend = svc.Engine()
 	}
-	policy := opts.Policy
-	if policy == nil {
-		policy = FixedPolicy{D: opts.Linger}
-	}
+	// the controller reads remote congestion straight from the service
+	// backend when that gates peers with windows (fleet or remote)
+	windows, _ := backend.(engine.WindowReporter)
 	s := &Server{
-		svc:    svc,
-		opts:   opts,
-		policy: policy,
+		svc:  svc,
+		opts: opts,
+		adm:  newAdmissionController(opts, windows),
 	}
 	s.met.BatchFill = metrics.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64})
 	s.met.LatencyMS = metrics.NewHistogram(nil)
@@ -355,21 +350,6 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 		}
 		tensor.SetGemmParallelism(per)
 		s.partitionedPool = true
-	}
-	if a, ok := policy.(*AIMDPolicy); ok && a.Hist == nil {
-		a.Hist = s.met.LatencyMS
-	}
-	if ac, ok := policy.(*AdmissionController); ok {
-		s.adm = ac
-		ac.setDeadline(opts.Deadline)
-		if a, ok := ac.inner.(*AIMDPolicy); ok && a.Hist == nil {
-			a.Hist = s.met.LatencyMS
-		}
-		if ac.opts.Windows == nil {
-			if wr, ok := backend.(engine.WindowReporter); ok {
-				ac.opts.Windows = wr
-			}
-		}
 	}
 	s.reqPool.New = func() any {
 		return &request{done: make(chan struct{}, 1)}
@@ -472,18 +452,8 @@ func (s *Server) WindowStats() []engine.WindowStat {
 	return nil
 }
 
-// Admission returns the unified admission controller when one is the
-// service's policy, nil otherwise.
+// Admission returns the service's batching and admission controller.
 func (s *Server) Admission() *AdmissionController { return s.adm }
-
-// BrownoutStage reports the admission ladder's current stage
-// (BrownoutNormal when no admission controller is installed).
-func (s *Server) BrownoutStage() BrownoutStage {
-	if s.adm == nil {
-		return BrownoutNormal
-	}
-	return s.adm.Stage()
-}
 
 // Warm pre-touches every shard replica's arena state for all batch sizes
 // the coalescers can dispatch, so the first real burst allocates nothing.
@@ -600,19 +570,15 @@ func (s *Server) begin(frame *imaging.Bitmap) (Result, bool, *request) {
 	// capacity just to be shed at dispatch. Under brownout (stage >= 1)
 	// admission stops blocking entirely, and at stage 3 new leader work is
 	// shed at the edge; cache and coalesce hits were already served above.
-	stage := BrownoutNormal
-	if s.adm != nil {
-		stage = s.adm.AdmitQueue(len(shd.queue), cap(shd.queue))
-	}
-	switch {
+	switch stage := s.adm.admit(len(shd.queue), cap(shd.queue)); {
 	case stage >= BrownoutShed:
-		s.adm.ObserveShed()
+		s.adm.observeShed()
 		shd.resolveShed(r)
 	case stage >= BrownoutCacheOnly:
 		select {
 		case shd.queue <- r:
 		default:
-			s.adm.ObserveShed()
+			s.adm.observeShed()
 			shd.resolveShed(r)
 		}
 	default:
@@ -620,10 +586,7 @@ func (s *Server) begin(frame *imaging.Bitmap) (Result, bool, *request) {
 			// a door shed under normal stage is overload ground truth: the
 			// queue stayed full for the whole deadline — feed it, weighted by
 			// every follower that coalesced behind the doomed leader
-			n := shd.resolveShed(r)
-			if s.adm != nil {
-				s.adm.ObserveOverloadShed(n)
-			}
+			s.adm.observeOverloadShed(shd.resolveShed(r))
 		}
 	}
 	s.closeMu.RUnlock()
@@ -709,8 +672,8 @@ func (s *Server) SubmitAsync(frame *imaging.Bitmap) *Future {
 }
 
 // coalesce is a shard's batching loop: it drains the shard's submit queue
-// into batches bounded by MaxBatch and the policy's linger budget, then
-// hands each batch to a dispatch worker.
+// into batches bounded by the controller's batch cap and linger, then hands
+// each batch to a dispatch worker.
 func (sh *shard) coalesce() {
 	defer sh.loopsWG.Done()
 	defer close(sh.batches)
@@ -744,11 +707,11 @@ func (sh *shard) coalesce() {
 				continue
 			}
 			batch = append(batch, r)
-			if len(batch) >= s.batchCap() {
+			if len(batch) >= s.adm.batchCap() {
 				flush()
 				continue
 			}
-			timer.Reset(s.policy.Linger())
+			timer.Reset(s.adm.linger())
 		}
 		select {
 		case r, ok := <-sh.queue:
@@ -761,7 +724,7 @@ func (sh *shard) coalesce() {
 				continue
 			}
 			batch = append(batch, r)
-			if len(batch) >= s.batchCap() {
+			if len(batch) >= s.adm.batchCap() {
 				stopTimer()
 				flush()
 			}
@@ -780,34 +743,14 @@ func (sh *shard) coalesce() {
 // under-reads saturation; age against the deadline is the signal that
 // actually pins high when dispatch falls behind.
 func (sh *shard) admitPopped(r *request) bool {
+	adm := sh.srv.adm
 	age := time.Since(r.enq)
-	if sh.srv.adm != nil {
-		sh.srv.adm.ObserveDispatchWait(age)
-	}
-	if d := sh.srv.shedDeadline(); d > 0 && age > d {
-		n := sh.resolveShed(r)
-		if sh.srv.adm != nil {
-			sh.srv.adm.ObserveOverloadShed(n)
-		}
+	adm.observeDispatchWait(age)
+	if d := adm.shedDeadline(); d > 0 && age > d {
+		adm.observeOverloadShed(sh.resolveShed(r))
 		return false
 	}
 	return true
-}
-
-// batchCap is the stage-adjusted frames-per-dispatch cap.
-func (s *Server) batchCap() int {
-	if s.adm != nil {
-		return s.adm.BatchCap(s.opts.MaxBatch)
-	}
-	return s.opts.MaxBatch
-}
-
-// shedDeadline is the stage-adjusted shed deadline.
-func (s *Server) shedDeadline() time.Duration {
-	if s.adm != nil {
-		return s.adm.ShedDeadline(s.opts.Deadline)
-	}
-	return s.opts.Deadline
 }
 
 func (sh *shard) getBatchSlice() []*request {
@@ -843,7 +786,7 @@ func (sh *shard) worker(pin bool) {
 		frames = frames[:0]
 		live = live[:0]
 		now := time.Now()
-		if deadline := s.shedDeadline(); deadline > 0 {
+		if deadline := s.adm.shedDeadline(); deadline > 0 {
 			for _, r := range batch {
 				if now.Sub(r.enq) > deadline {
 					sh.resolveShed(r)
@@ -860,26 +803,49 @@ func (sh *shard) worker(pin bool) {
 		}
 		if len(live) > 0 {
 			// the oldest request's pre-dispatch wait is the queue+linger
-			// delay the policy controls (model time is not its lever)
+			// delay the controller reads as pressure (model time is not its
+			// lever)
 			wait := now.Sub(live[0].enq)
 			start := time.Now()
-			out := sh.backend.InferBatchInto(frames, scores[:len(live)])
+			out, ok := sh.infer(frames, scores[:len(live)])
 			s.met.LaneBusyNS[sh.id].Add(time.Since(start).Nanoseconds())
 			s.met.LaneDispatches[sh.id].Inc()
-			s.met.Batches.Inc()
-			s.met.BatchFill.Observe(float64(len(live)))
-			s.met.Classified.Add(int64(len(live)))
-			s.met.ShardFrames[sh.id].Add(int64(len(live)))
-			for i, r := range live {
-				sh.resolve(r, out[i])
+			if ok {
+				s.met.Batches.Inc()
+				s.met.BatchFill.Observe(float64(len(live)))
+				s.met.Classified.Add(int64(len(live)))
+				s.met.ShardFrames[sh.id].Add(int64(len(live)))
+				for i, r := range live {
+					sh.resolve(r, out[i])
+				}
+			} else {
+				for _, r := range live {
+					sh.resolveShed(r)
+				}
 			}
-			s.policy.ObserveBatch(len(live), s.opts.MaxBatch, wait)
+			s.adm.observeBatch(wait)
 		}
 		select {
 		case sh.freeBatches <- batch[:0]:
 		default:
 		}
 	}
+}
+
+// infer runs one forward pass on the shard's replica behind a recover
+// boundary: a backend panic (a bug, or a frame no decoder bound caught)
+// fails only this batch — ok=false, counted in WorkerPanics and logged —
+// instead of killing the daemon.
+func (sh *shard) infer(frames []*imaging.Bitmap, scores []float64) (out []float64, ok bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			sh.srv.met.WorkerPanics.Inc()
+			log.Printf("serve: shard %d: backend %s panicked on a %d-frame batch, shedding it: %v\n%s",
+				sh.id, sh.backend.Name(), len(frames), v, debug.Stack())
+			out, ok = nil, false
+		}
+	}()
+	return sh.backend.InferBatchInto(frames, scores), true
 }
 
 // resolve publishes a model verdict: memoize, release the in-flight slot,
@@ -910,9 +876,7 @@ func (sh *shard) resolve(r *request, score float64) {
 // resolveShed rejects a request (and any coalesced followers) with
 // verdict-unknown, returning how many submissions that resolved — the
 // request mass a deadline shed feeds into the admission pressure signal.
-// The wait goes to ShedWaitMS, never LatencyMS — shed waits are
-// deadline-capped no matter what the linger policy does, and would bias its
-// tail check (see Metrics.LatencyMS).
+// The wait goes to ShedWaitMS, never LatencyMS (see Metrics.LatencyMS).
 func (sh *shard) resolveShed(r *request) int {
 	s := sh.srv
 	s.met.ShedWaitMS.Observe(float64(time.Since(r.enq).Nanoseconds()) / 1e6)

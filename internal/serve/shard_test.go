@@ -111,27 +111,33 @@ func TestBackendOverride(t *testing.T) {
 
 // TestShardedSteadyStateZeroAlloc is the per-shard zero-alloc gate: after
 // Warm and a warmup pass, steady-state Submit across a multi-shard server
-// must not allocate.
+// must not allocate — with the admission ladder off (Deadline 0) and armed
+// (Deadline > 0, so the controller samples pressure and evaluates the
+// ladder on every admission, pop and batch).
 func TestShardedSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s := testServer(t, core.Options{}, Options{
-		Shards: 2, Workers: 2, MaxBatch: 4, Linger: time.Microsecond,
-	})
-	s.Warm()
-	frames := synth.SampleFrames(59, 32)
-	for _, f := range frames { // warm: request pool, batch slices, cache state
-		s.Submit(f)
-	}
-	s.ResetCache() // measure the full classify path, not the hit path
-	i := 0
-	allocs := testing.AllocsPerRun(len(frames)*4, func() {
-		s.Submit(frames[i%len(frames)])
-		i++
-	})
-	if allocs >= 1 {
-		t.Fatalf("steady-state sharded Submit allocates %.2f/op, want 0", allocs)
+	for _, deadline := range []time.Duration{0, time.Minute} {
+		s := testServer(t, core.Options{}, Options{
+			Shards: 2, Workers: 2, MaxBatch: 4, Linger: time.Microsecond,
+			Deadline: deadline,
+		})
+		s.Warm()
+		frames := synth.SampleFrames(59, 32)
+		for _, f := range frames { // warm: request pool, batch slices, cache state
+			s.Submit(f)
+		}
+		s.ResetCache() // measure the full classify path, not the hit path
+		i := 0
+		allocs := testing.AllocsPerRun(len(frames)*4, func() {
+			s.Submit(frames[i%len(frames)])
+			i++
+		})
+		if allocs >= 1 {
+			t.Fatalf("deadline %v: steady-state sharded Submit allocates %.2f/op, want 0",
+				deadline, allocs)
+		}
 	}
 }
 
@@ -197,12 +203,11 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 
 // TestMultiShardRaceStress is the -race stress pass over sharded dispatch:
 // many goroutines, duplicate-heavy traffic across every shard, the
-// adaptive policy live, snapshots racing submissions, and a graceful close.
+// admission ladder armed, snapshots racing submissions, and a graceful close.
 func TestMultiShardRaceStress(t *testing.T) {
 	s, err := New(testCore(t, core.Options{}), Options{
 		Shards: 4, Workers: 4, MaxBatch: 4, Linger: 200 * time.Microsecond,
 		QueueDepth: 32, Deadline: time.Second, CacheSize: 64, CacheShards: 4,
-		Policy: NewAIMDPolicy(),
 	})
 	if err != nil {
 		t.Fatal(err)
