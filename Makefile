@@ -7,7 +7,7 @@ GO ?= go
 # Per-fuzzer budget for the `fuzz` smoke target.
 FUZZTIME ?= 15s
 
-.PHONY: check fmt vet build test race fuzz chaos bench bench-all bench-infer
+.PHONY: check fmt vet build test race size fuzz chaos bench bench-all bench-infer
 
 check: fmt vet build test race
 
@@ -29,6 +29,13 @@ test:
 
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/engine/... ./internal/core/... ./internal/serve/... ./internal/faultinject/... ./internal/metrics/...
+
+# The two size numbers every change reports: non-test Go LOC of
+# internal/engine plus internal/serve, and the percival-serve flag count,
+# read from its -h output.
+size:
+	@echo "engine+serve non-test Go LOC: $$(cat $$(ls internal/engine/*.go internal/serve/*.go | grep -v '_test\.go$$') | wc -l)"
+	@echo "percival-serve flags: $$($(GO) run ./cmd/percival-serve -h 2>&1 | grep -c '^  -')"
 
 # Native Go fuzzing smoke pass over the decoders that face untrusted input
 # (EasyList rules, HTML, the socket wire framing, the admin control-plane

@@ -262,7 +262,7 @@ func ServeRemote8x2(b *testing.B) {
 	remotes := make([]*engine.RemoteBackend, 2)
 	caches := make([]*engine.VerdictMap, len(remotes))
 	for i := range remotes {
-		caches[i] = engine.NewVerdictMap(0)
+		caches[i] = engine.NewVerdictMap(4096)
 		u, stop := startWirePeer(b, svc, caches[i], nil)
 		defer stop()
 		rb, err := engine.NewRemote(u, engine.RemoteOptions{ExpectRes: svc.InputRes()})
@@ -343,7 +343,7 @@ func ServeRemoteWire8x2(b *testing.B) {
 	svc := PaperService(false)
 	remotes := make([]*engine.RemoteBackend, 2)
 	for i := range remotes {
-		u, stop := startWirePeer(b, svc, engine.NewVerdictMap(0), nil)
+		u, stop := startWirePeer(b, svc, engine.NewVerdictMap(4096), nil)
 		defer stop()
 		rb, err := engine.NewRemote(u, engine.RemoteOptions{ExpectRes: svc.InputRes()})
 		if err != nil {

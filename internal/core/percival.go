@@ -27,6 +27,9 @@ import (
 	"percival/internal/tensor"
 )
 
+// cacheSize bounds the asynchronous mode's verdict memo (entries).
+const cacheSize = 4096
+
 // Mode selects how classification interacts with rendering.
 type Mode int
 
@@ -46,8 +49,6 @@ type Options struct {
 	Threshold float64
 	// Mode selects synchronous or asynchronous deployment.
 	Mode Mode
-	// CacheSize bounds the memoization cache (entries). 0 uses a default.
-	CacheSize int
 	// MinFrameEdge skips classification of tiny images (spacer gifs,
 	// 1-px tracking pixels) that cannot be ads; 0 uses a default of 20.
 	MinFrameEdge int
@@ -89,7 +90,9 @@ type Percival struct {
 	// quantization was requested (whether or not the gate passed).
 	parityAgreement float64
 
-	cache *verdictCache
+	// cache memoizes model scores by imaging.ContentKey; a hit applies the
+	// threshold afresh.
+	cache *engine.VerdictMap
 
 	// single recycles the one-frame scratch (frames+scores slices) Classify
 	// wraps around the batched backend entry point, keeping the single-frame
@@ -119,9 +122,6 @@ func New(net *nn.Sequential, cfg squeezenet.Config, opts Options) (*Percival, er
 	if opts.Threshold < 0 || opts.Threshold >= 1 {
 		return nil, fmt.Errorf("core: threshold %v out of range (0,1)", opts.Threshold)
 	}
-	if opts.CacheSize == 0 {
-		opts.CacheSize = 4096
-	}
 	if opts.MinFrameEdge == 0 {
 		opts.MinFrameEdge = 20
 	}
@@ -130,7 +130,7 @@ func New(net *nn.Sequential, cfg squeezenet.Config, opts Options) (*Percival, er
 		cfg:      cfg,
 		opts:     opts,
 		backends: engine.NewRegistry(),
-		cache:    newVerdictCache(opts.CacheSize),
+		cache:    engine.NewVerdictMap(cacheSize),
 	}
 	if err := p.backends.Register(engine.FP32Name, engine.NewFP32(net, cfg.InputRes)); err != nil {
 		return nil, err
@@ -327,9 +327,10 @@ func (p *Percival) InspectFrame(src string, frame *imaging.Bitmap) bool {
 		}
 		return verdict
 	}
-	key := imaging.ContentHash(frame)
-	if verdict, ok := p.cache.get(key); ok {
+	key := imaging.ContentKey(frame)
+	if score, ok := p.cache.LookupVerdict(key); ok {
 		p.cacheHits.Add(1)
+		verdict := score >= p.opts.Threshold
 		if verdict {
 			p.blocked.Add(1)
 		}
@@ -337,8 +338,9 @@ func (p *Percival) InspectFrame(src string, frame *imaging.Bitmap) bool {
 	}
 	switch p.opts.Mode {
 	case Synchronous:
-		verdict := p.IsAd(frame)
-		p.cache.put(key, verdict)
+		score := p.Classify(frame)
+		p.cache.StoreVerdict(key, score)
+		verdict := score >= p.opts.Threshold
 		if verdict {
 			p.blocked.Add(1)
 		}
@@ -348,7 +350,7 @@ func (p *Percival) InspectFrame(src string, frame *imaging.Bitmap) bool {
 		p.pending.Add(1)
 		go func() {
 			defer p.pending.Done()
-			p.cache.put(key, p.IsAd(snapshot))
+			p.cache.StoreVerdict(key, p.Classify(snapshot))
 		}()
 		return false
 	}
@@ -395,62 +397,6 @@ func (p *Percival) InputRes() int { return p.cfg.InputRes }
 
 // Threshold returns the active decision threshold.
 func (p *Percival) Threshold() float64 { return p.opts.Threshold }
-
-// verdictCache is a bounded FIFO-evicting map from content hash to verdict.
-// (True LRU order is unnecessary: creatives repeat within short windows.)
-type verdictCache struct {
-	mu    sync.Mutex
-	max   int
-	m     map[[32]byte]bool
-	order [][32]byte
-	next  int
-}
-
-func newVerdictCache(max int) *verdictCache {
-	if max < 0 {
-		// Non-positive capacity means "no memoization": the cache stays
-		// usable (get always misses, put is a no-op) instead of panicking on
-		// the ring index.
-		max = 0
-	}
-	return &verdictCache{max: max, m: make(map[[32]byte]bool, max)}
-}
-
-func (c *verdictCache) get(k [32]byte) (bool, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[k]
-	return v, ok
-}
-
-func (c *verdictCache) put(k [32]byte, v bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.max <= 0 {
-		return // capacity 0: memoization disabled, nothing to evict into
-	}
-	if _, exists := c.m[k]; exists {
-		c.m[k] = v
-		return
-	}
-	if len(c.m) >= c.max {
-		// evict the oldest inserted key (ring over insertion order)
-		old := c.order[c.next%len(c.order)]
-		delete(c.m, old)
-		c.order[c.next%len(c.order)] = k
-		c.next++
-	} else {
-		c.order = append(c.order, k)
-	}
-	c.m[k] = v
-}
-
-// Len reports the number of memoized verdicts (for tests).
-func (c *verdictCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
 
 // Gradient exposes dScore/dInput for salience mapping (Grad-CAM). It runs a
 // training-mode forward/backward pass, so it must not run concurrently with

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"image/color"
 	"runtime"
 	"sync"
@@ -165,36 +163,6 @@ func TestInspectFrameConcurrentSafety(t *testing.T) {
 	}
 }
 
-func TestVerdictCacheEviction(t *testing.T) {
-	c := newVerdictCache(3)
-	key := func(i int) [32]byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(i))
-		return sha256.Sum256(b[:])
-	}
-	for i := 0; i < 5; i++ {
-		c.put(key(i), i%2 == 0)
-	}
-	if c.len() != 3 {
-		t.Fatalf("cache len %d, want 3", c.len())
-	}
-	// oldest (0, 1) evicted; 2, 3, 4 remain
-	if _, ok := c.get(key(0)); ok {
-		t.Fatal("key 0 should be evicted")
-	}
-	if v, ok := c.get(key(4)); !ok || !v { // 4 was stored with verdict true
-		t.Fatalf("key 4: %v %v", v, ok)
-	}
-	// overwrite existing key keeps size
-	c.put(key(4), false)
-	if v, _ := c.get(key(4)); v {
-		t.Fatal("overwrite failed")
-	}
-	if c.len() != 3 {
-		t.Fatal("overwrite changed size")
-	}
-}
-
 func TestModelSizeUnder2MB(t *testing.T) {
 	cfg := squeezenet.PaperConfig()
 	net, err := squeezenet.Build(cfg)
@@ -340,66 +308,6 @@ func TestClassifyBatchChunking(t *testing.T) {
 		single := p.Classify(frames[i])
 		if diff := batch[i] - single; diff > 1e-4 || diff < -1e-4 {
 			t.Fatalf("frame %d: batch %v single %v", i, batch[i], single)
-		}
-	}
-}
-
-// TestVerdictCacheZeroAndNegativeCapacity pins the fix for the mod-by-zero
-// panic: a cache constructed with max <= 0 must behave as "memoization
-// disabled" (put is a no-op, get always misses) instead of dividing by the
-// empty ring length on the first eviction.
-func TestVerdictCacheZeroAndNegativeCapacity(t *testing.T) {
-	key := func(i int) [32]byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(i))
-		return sha256.Sum256(b[:])
-	}
-	for _, max := range []int{0, -1, -4096} {
-		c := newVerdictCache(max)
-		for i := 0; i < 4; i++ {
-			c.put(key(i), true) // must not panic
-		}
-		if c.len() != 0 {
-			t.Fatalf("max=%d: cache stored %d entries, want 0", max, c.len())
-		}
-		if _, ok := c.get(key(0)); ok {
-			t.Fatalf("max=%d: get hit on a disabled cache", max)
-		}
-	}
-}
-
-// TestVerdictCacheFIFOOrderDeterministic drives the ring through several
-// wrap-arounds and checks that eviction is exactly insertion-ordered: after
-// inserting keys 0..n-1 into a cache of capacity c, precisely the last c
-// keys remain, for every prefix length.
-func TestVerdictCacheFIFOOrderDeterministic(t *testing.T) {
-	const capacity = 4
-	key := func(i int) [32]byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(i))
-		return sha256.Sum256(b[:])
-	}
-	c := newVerdictCache(capacity)
-	for i := 0; i < 3*capacity+1; i++ {
-		c.put(key(i), i%2 == 0)
-		oldest := i + 1 - capacity
-		if oldest < 0 {
-			oldest = 0
-		}
-		for j := 0; j <= i; j++ {
-			v, ok := c.get(key(j))
-			if j < oldest {
-				if ok {
-					t.Fatalf("after %d inserts: key %d should be FIFO-evicted", i+1, j)
-				}
-				continue
-			}
-			if !ok {
-				t.Fatalf("after %d inserts: key %d missing (oldest live %d)", i+1, j, oldest)
-			}
-			if v != (j%2 == 0) {
-				t.Fatalf("key %d verdict corrupted", j)
-			}
 		}
 	}
 }

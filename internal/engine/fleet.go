@@ -873,6 +873,8 @@ func (f *Fleet) redial(p *fleetPeer) {
 			if p.gone.Load() {
 				return
 			}
+			// the peer may have come back on another wire port
+			p.b.tr.retarget(p.b.wireAddr(info))
 			// fresh handshake at the right version and resolution: re-admit
 			// with a clean slate — stale pre-eviction latency must not arm
 			// the hedge trigger against a peer that just came back, and the

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,6 +155,95 @@ func TestChaosFlappingPeer(t *testing.T) {
 	}
 	if f.Peers()[1].Stats().Frames == 0 {
 		t.Fatal("re-admitted peer never served a frame")
+	}
+}
+
+// TestChaosPeerMovesWirePort: a peer restarted on a new -wire-listen port
+// must be re-admitted against the port its fresh handshake advertises and
+// serve chunks there. Traffic keeps real verdicts throughout (zero
+// fail-open): the healthy peer absorbs the moved peer's chunks until it is
+// back.
+func TestChaosPeerMovesWirePort(t *testing.T) {
+	net_, res := testNet(t, 16)
+	a, b := NewFP32(net_, res), NewFP32(net_, res)
+	defer a.Close()
+	defer b.Close()
+	tsA, _ := newWirePeer(t, a, nil, nil)
+
+	// peer B's /modelz advertises whichever wire listener is current
+	var wireAddr atomic.Value
+	listen := func() *WireServer {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := NewWireServer(WireServerOptions{Backend: b})
+		go ws.Serve(ln)
+		t.Cleanup(ws.Close)
+		wireAddr.Store(ln.Addr().String())
+		return ws
+	}
+	first := listen()
+	tsB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ModelzHandlerID(nil, b, 0.5, wireAddr.Load().(string), "").ServeHTTP(w, r)
+	}))
+	t.Cleanup(tsB.Close)
+
+	f := dialFleet(t, FleetOptions{
+		EvictAfter:    2,
+		RedialBase:    10 * time.Millisecond,
+		RedialMax:     50 * time.Millisecond,
+		HedgeQuantile: 0.99,
+	}, tsA.URL, tsB.URL)
+	peerB := f.Peers()[1].Peer()
+
+	frames := synth.SampleFrames(7, 4)
+	want := make([]float64, len(frames))
+	a.InferBatchInto(frames, want)
+	check := func(phase string) {
+		out := make([]float64, len(frames))
+		f.InferBatchInto(frames, out)
+		for i := range out {
+			if out[i] != want[i] {
+				t.Fatalf("%s: frame %d scored %v, want %v", phase, i, out[i], want[i])
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		check("first port")
+	}
+	if first.Stats().FramesScored == 0 {
+		t.Fatal("peer B never served on its first port")
+	}
+
+	// restart B on a new port; traffic fails over until B is evicted
+	first.Close()
+	moved := listen()
+	evicted := func() bool {
+		for _, ph := range f.PeerHealth() {
+			if ph.Peer == peerB && ph.Evictions > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for end := time.Now().Add(3 * time.Second); !evicted(); {
+		if time.Now().After(end) {
+			t.Fatalf("peer B never evicted after its restart; health: %+v", f.PeerHealth())
+		}
+		check("restart")
+	}
+
+	// the redial re-admits B off the fresh handshake, on the new port
+	waitPeerState(t, f, peerB, PeerHealthy, 3*time.Second)
+	for i := 0; i < 8; i++ {
+		check("re-admitted")
+	}
+	if moved.Stats().FramesScored == 0 {
+		t.Fatalf("re-admitted peer B served nothing on its new port; health: %+v", f.PeerHealth())
+	}
+	if st := f.Stats(); st.Errors != 0 {
+		t.Fatalf("fail-open errors: %+v", st)
 	}
 }
 

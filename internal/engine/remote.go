@@ -142,8 +142,15 @@ func NewRemote(peer string, opts RemoteOptions) (*RemoteBackend, error) {
 	b.res = info.InputRes
 	b.instanceID = info.InstanceID
 	b.name = "remote:" + info.Engine + "@" + u.Host
-	b.tr = newSockTransport(resolveWireAddr(u.Host, info.WireAddr), base)
+	b.tr = newSockTransport(b.wireAddr(info), base)
 	return b, nil
+}
+
+// wireAddr resolves the wire listener a handshake advertised against the
+// peer's host.
+func (b *RemoteBackend) wireAddr(info ModelzInfo) string {
+	_, host, _ := strings.Cut(b.peer, "://")
+	return resolveWireAddr(host, info.WireAddr)
 }
 
 // checkHandshake validates a peer's /modelz document against what a front

@@ -129,7 +129,7 @@ func TestWireServerCounters(t *testing.T) {
 	net_, res := testNet(t, 16)
 	local := NewFP32(net_, res)
 	defer local.Close()
-	ts, ws := newWirePeer(t, local, NewVerdictMap(0), nil)
+	ts, ws := newWirePeer(t, local, NewVerdictMap(4096), nil)
 	rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)

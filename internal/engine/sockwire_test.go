@@ -53,7 +53,7 @@ func TestSockWireBitIdentical(t *testing.T) {
 	net_, res := testNet(t, 16)
 	local := NewFP32(net_, res)
 	defer local.Close()
-	ts, ws := newWirePeer(t, local, NewVerdictMap(0), nil)
+	ts, ws := newWirePeer(t, local, NewVerdictMap(4096), nil)
 
 	rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, Timeout: 2 * time.Second})
 	if err != nil {
@@ -190,7 +190,7 @@ func TestSockWireConcurrent(t *testing.T) {
 	net_, res := testNet(t, 16)
 	local := NewFP32(net_, res)
 	defer local.Close()
-	ts, _ := newWirePeer(t, local, NewVerdictMap(0), nil)
+	ts, _ := newWirePeer(t, local, NewVerdictMap(4096), nil)
 
 	rb, err := NewRemote(ts.URL, RemoteOptions{ExpectRes: res, Timeout: 5 * time.Second})
 	if err != nil {
@@ -391,34 +391,5 @@ func TestResolveWireAddr(t *testing.T) {
 		if got := resolveWireAddr(tc.httpHost, tc.wire); got != tc.want {
 			t.Errorf("resolveWireAddr(%q, %q) = %q, want %q", tc.httpHost, tc.wire, got, tc.want)
 		}
-	}
-}
-
-// TestVerdictMap: bounded FIFO semantics, update-in-place, reset.
-func TestVerdictMap(t *testing.T) {
-	m := NewVerdictMap(3)
-	key := func(i byte) [32]byte { var k [32]byte; k[0] = i; return k }
-	for i := byte(0); i < 5; i++ {
-		m.StoreVerdict(key(i), float64(i))
-	}
-	if m.Len() != 3 {
-		t.Fatalf("len %d, want 3 (bounded)", m.Len())
-	}
-	if _, ok := m.LookupVerdict(key(0)); ok {
-		t.Fatal("oldest entry not evicted")
-	}
-	if v, ok := m.LookupVerdict(key(4)); !ok || v != 4 {
-		t.Fatalf("newest entry %v %v", v, ok)
-	}
-	m.StoreVerdict(key(4), 9) // update must not evict
-	if m.Len() != 3 {
-		t.Fatalf("update grew the map to %d", m.Len())
-	}
-	if v, _ := m.LookupVerdict(key(4)); v != 9 {
-		t.Fatalf("update not applied: %v", v)
-	}
-	m.Reset()
-	if m.Len() != 0 {
-		t.Fatalf("reset left %d entries", m.Len())
 	}
 }

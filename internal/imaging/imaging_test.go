@@ -238,24 +238,6 @@ func TestPrepareInputShape(t *testing.T) {
 	}
 }
 
-func TestContentHashDistinguishesAndRepeats(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randBitmap(rng, 16, 16)
-	b := a.Clone()
-	if ContentHash(a) != ContentHash(b) {
-		t.Fatal("identical bitmaps must hash equal")
-	}
-	b.Set(3, 3, red)
-	if ContentHash(a) == ContentHash(b) {
-		t.Fatal("different bitmaps hashed equal")
-	}
-	// dimension change with same bytes must differ
-	c := &Bitmap{W: 8, H: 32, Pix: append([]uint8(nil), a.Pix...)}
-	if ContentHash(a) == ContentHash(c) {
-		t.Fatal("dimension change should alter hash")
-	}
-}
-
 func TestPerceptualHashToleratesRescale(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// structured image: gradient + rect, so the aHash has signal

@@ -45,7 +45,7 @@ func FuzzLoadModel(f *testing.F) {
 		if err := Save(&out, net); err != nil {
 			t.Fatalf("save after a clean load: %v", err)
 		}
-		if binary.LittleEndian.Uint16(data[4:]) == versionFloat32 && !bytes.HasPrefix(data, out.Bytes()) {
+		if binary.LittleEndian.Uint16(data[4:]) == versionFloat32 && !bytes.Equal(data, out.Bytes()) {
 			t.Fatal("a float32 file that loaded does not save back to itself")
 		}
 		again := fuzzNet()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -373,6 +374,26 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 	}
 	if err := Load(bytes.NewReader(nil), net); err == nil {
 		t.Fatal("expected EOF error")
+	}
+}
+
+// TestLoadRejectsTrailingBytes: a file with anything after the last
+// parameter (a concatenated or mis-sized -model file) must fail to load,
+// with an error that names the leftover bytes.
+func TestLoadRejectsTrailingBytes(t *testing.T) {
+	net := NewSequential(NewConv2D("c1", tensor.ConvSpec{InC: 1, OutC: 2, KH: 1, KW: 1, StrideH: 1, StrideW: 1}))
+	InitHe(net, rand.New(rand.NewSource(8)))
+	var buf bytes.Buffer
+	if err := Save(&buf, net); err != nil {
+		t.Fatal(err)
+	}
+	if err := Load(bytes.NewReader(buf.Bytes()), net); err != nil {
+		t.Fatalf("clean file: %v", err)
+	}
+	buf.WriteByte(0)
+	err := Load(&buf, net)
+	if err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
+		t.Fatalf("Save output plus one byte loaded with error %v, want the trailing byte named", err)
 	}
 }
 

@@ -85,8 +85,8 @@ func save(w io.Writer, l Layer, version uint16) error {
 }
 
 // Load reads weights into an already-constructed model. Parameter names and
-// shapes must match exactly; this guards against loading a mismatched
-// architecture.
+// shapes must match exactly, and the input must end after the last
+// parameter; this guards against loading a mismatched architecture.
 func Load(r io.Reader, l Layer) error {
 	br := bufio.NewReader(r)
 	var hdr [4]byte
@@ -153,6 +153,12 @@ func Load(r io.Reader, l Layer) error {
 				p.W.Data[i] = HalfToFloat32(h)
 			}
 		}
+	}
+	// a concatenated or mis-sized file must not load silently
+	if extra, err := io.Copy(io.Discard, br); err != nil {
+		return fmt.Errorf("nn: load: %w", err)
+	} else if extra > 0 {
+		return fmt.Errorf("nn: load: %d trailing bytes after the last parameter", extra)
 	}
 	return nil
 }

@@ -4,126 +4,69 @@ import (
 	"encoding/binary"
 	"sync"
 
-	"percival/internal/imaging"
+	"percival/internal/engine"
 )
 
-// frameKey is the content-hash cache key — imaging.ContentKey, the canonical
-// zero-alloc key shared with the remote-dispatch wire. Using the shared
-// computation (rather than a serve-private hash) is what lets a peer answer
-// a wire hash probe straight from this cache: the proxy keys a frame once
-// and the peer's lookup agrees byte-for-byte.
-type frameKey [32]byte
+// cacheShards is the lock-domain count of each dispatch shard's verdict
+// cache.
+const cacheShards = 16
 
-func hashFrame(b *imaging.Bitmap) frameKey {
-	return frameKey(imaging.ContentKey(b))
-}
-
-// cacheShard is one lock domain of the sharded verdict cache: a bounded
-// FIFO-evicting verdict map (the concurrent counterpart of core's
-// verdictCache) plus the in-flight leader table used for request
+// cacheShard is one lock domain of the sharded verdict cache: a slice of
+// the bounded verdict map plus the in-flight leader table used for request
 // coalescing — a follower submitting a frame that is already being
 // classified attaches to the leader instead of queueing a duplicate model
-// run.
+// run. Keys are imaging.ContentKey, shared with the remote-dispatch wire, so
+// a peer answers a wire hash probe straight from this cache.
+//
+// mu makes the verdict check and the pending check in begin, and the store
+// and the pending delete in resolve, one atomic step. The map's own lock is
+// only ever taken under mu, so it is never contended.
 type cacheShard struct {
-	mu      sync.Mutex
-	max     int // 0 = memoization disabled (pending table still active)
-	m       map[frameKey]float64
-	order   []frameKey
-	next    int
-	pending map[frameKey]*request
+	mu       sync.Mutex
+	verdicts *engine.VerdictMap
+	pending  map[[32]byte]*request
 
-	// The shards live by value in one contiguous slice, so without padding
-	// two neighbours share a cache line: every mu lock/unlock and every
-	// bump of the FIFO cursor (next) on one shard would invalidate the
-	// neighbour's line on another core — false sharing the 8-core sweep
-	// surfaced. The pad keeps each header (64 bytes of fields above) on its
-	// own line group.
+	// The shards live by value in one contiguous array, so without padding
+	// two neighbours share a cache line: every mu lock/unlock on one shard
+	// would invalidate the neighbour's line on another core — false sharing
+	// the 8-core sweep surfaced. The pad keeps each header on its own line
+	// group.
 	_ [64]byte
 }
 
-// shardedCache spreads verdict lookups over 2^k independently locked
-// shards, replacing the single-mutex cache as the hot-path bottleneck when
-// many goroutines submit concurrently.
-type shardedCache struct {
-	shards []cacheShard
-	mask   uint32
-}
+// shardedCache spreads verdict lookups over independently locked shards,
+// so many goroutines submitting concurrently do not serialize on one lock.
+type shardedCache [cacheShards]cacheShard
 
-func newShardedCache(shards, total int) *shardedCache {
-	if shards < 1 {
-		shards = 1
-	}
-	// round up to a power of two so shard selection is a mask
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
+// newShardedCache splits a capacity of total verdicts (≤ 0: memoization
+// disabled, the pending tables still active) over the lock domains.
+func newShardedCache(total int) *shardedCache {
 	per := 0
 	if total > 0 {
-		per = (total + n - 1) / n
+		per = (total + cacheShards - 1) / cacheShards
 	}
-	c := &shardedCache{shards: make([]cacheShard, n), mask: uint32(n - 1)}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			max:     per,
-			m:       make(map[frameKey]float64, per),
-			pending: map[frameKey]*request{},
-		}
+	c := &shardedCache{}
+	for i := range c {
+		c[i].verdicts = engine.NewVerdictMap(per)
+		c[i].pending = map[[32]byte]*request{}
 	}
 	return c
 }
 
-func (c *shardedCache) shard(k frameKey) *cacheShard {
+func (c *shardedCache) shard(k [32]byte) *cacheShard {
 	// the key is a cryptographic hash: any 4 bytes are uniformly distributed
-	return &c.shards[binary.LittleEndian.Uint32(k[8:12])&c.mask]
+	return &c[binary.LittleEndian.Uint32(k[8:12])%cacheShards]
 }
 
-// Lookups happen inline in Server.begin under the shard lock, composed
-// with the pending-leader check — a standalone get would let callers race
-// the coalescing protocol.
-
-// put memoizes a score with FIFO eviction, mirroring core's verdictCache
-// semantics (including the max<=0 "disabled" guard).
-func (s *cacheShard) put(k frameKey, v float64) {
-	if s.max <= 0 {
-		return
+// eachCacheShard runs fn on every cache lock domain of every dispatch
+// shard, one at a time under its lock.
+func (s *Server) eachCacheShard(fn func(ch *cacheShard)) {
+	for _, sh := range s.shards {
+		for i := range sh.cache {
+			ch := &sh.cache[i]
+			ch.mu.Lock()
+			fn(ch)
+			ch.mu.Unlock()
+		}
 	}
-	if _, exists := s.m[k]; exists {
-		s.m[k] = v
-		return
-	}
-	if len(s.m) >= s.max {
-		old := s.order[s.next%len(s.order)]
-		delete(s.m, old)
-		s.order[s.next%len(s.order)] = k
-		s.next++
-	} else {
-		s.order = append(s.order, k)
-	}
-	s.m[k] = v
-}
-
-// reset drops every memoized verdict (creative-rotation epochs, tests,
-// benchmarks). In-flight leaders are left untouched.
-func (c *shardedCache) reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		clear(s.m)
-		s.order = s.order[:0]
-		s.next = 0
-		s.mu.Unlock()
-	}
-}
-
-// len reports the number of memoized verdicts across all shards.
-func (c *shardedCache) len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
 }

@@ -34,20 +34,15 @@ func (s *Server) SnapshotCache(w io.Writer) (int, error) {
 	// size the header without holding every lock at once: copy entries
 	// shard by shard, then emit
 	type entry struct {
-		k frameKey
+		k [32]byte
 		v float64
 	}
 	var entries []entry
-	for _, sh := range s.shards {
-		for i := range sh.cache.shards {
-			cs := &sh.cache.shards[i]
-			cs.mu.Lock()
-			for k, v := range cs.m {
-				entries = append(entries, entry{k, v})
-			}
-			cs.mu.Unlock()
-		}
-	}
+	s.eachCacheShard(func(ch *cacheShard) {
+		ch.verdicts.Range(func(k [32]byte, v float64) {
+			entries = append(entries, entry{k, v})
+		})
+	})
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(cacheMagic); err != nil {
 		return 0, err
@@ -97,14 +92,7 @@ func (s *Server) RestoreCache(r io.Reader) (int, error) {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return restored, fmt.Errorf("serve: cache snapshot entry %d: %w", i, err)
 		}
-		var k frameKey
-		copy(k[:], buf[:32])
-		v := math.Float64frombits(binary.LittleEndian.Uint64(buf[32:]))
-		sh := s.shardFor(k)
-		ch := sh.cache.shard(k)
-		ch.mu.Lock()
-		ch.put(k, v)
-		ch.mu.Unlock()
+		s.StoreVerdict([32]byte(buf[:32]), math.Float64frombits(binary.LittleEndian.Uint64(buf[32:])))
 		restored++
 	}
 	return restored, nil

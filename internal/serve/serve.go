@@ -117,9 +117,6 @@ type Options struct {
 	// CacheSize bounds the verdict cache in total entries across all
 	// shards (default 4096).
 	CacheSize int
-	// CacheShards is the lock-domain count per dispatch shard, rounded up
-	// to a power of two (default 16).
-	CacheShards int
 	// DisableCache turns verdict memoization off. In-flight coalescing
 	// stays active.
 	DisableCache bool
@@ -161,9 +158,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 4096
-	}
-	if o.CacheShards == 0 {
-		o.CacheShards = 16
 	}
 	return o
 }
@@ -250,7 +244,7 @@ func (m *Metrics) Expose() string {
 // no heap allocation.
 type request struct {
 	frame     *imaging.Bitmap
-	key       frameKey
+	key       [32]byte
 	enq       time.Time
 	score     float64
 	status    Status
@@ -375,7 +369,7 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 			srv:         s,
 			id:          i,
 			backend:     backend.Replicate(),
-			cache:       newShardedCache(opts.CacheShards, cacheSize),
+			cache:       newShardedCache(cacheSize),
 			queue:       make(chan *request, queueDepth),
 			batches:     make(chan []*request, workers),
 			freeBatches: make(chan []*request, workers+2),
@@ -396,7 +390,7 @@ func New(svc *core.Percival, opts Options) (*Server, error) {
 // fraction of the keyspace and scaled to the shard count, so the same
 // content hash always routes to the same shard regardless of shard-internal
 // cache geometry.
-func (s *Server) shardFor(k frameKey) *shard {
+func (s *Server) shardFor(k [32]byte) *shard {
 	hi := uint64(binary.BigEndian.Uint32(k[0:4]))
 	return s.shards[int(hi*uint64(len(s.shards))>>32)]
 }
@@ -466,9 +460,7 @@ func (s *Server) Warm() {
 // CacheLen reports the number of memoized verdicts across all shards.
 func (s *Server) CacheLen() int {
 	n := 0
-	for _, sh := range s.shards {
-		n += sh.cache.len()
-	}
+	s.eachCacheShard(func(ch *cacheShard) { n += ch.verdicts.Len() })
 	return n
 }
 
@@ -477,12 +469,10 @@ func (s *Server) CacheLen() int {
 // probes from the same sharded cache /classify fills, so a creative this
 // daemon has already scored never pulls pixels over the wire again.
 func (s *Server) LookupVerdict(key [32]byte) (float64, bool) {
-	k := frameKey(key)
-	ch := s.shardFor(k).cache.shard(k)
+	ch := s.shardFor(key).cache.shard(key)
 	ch.mu.Lock()
-	v, ok := ch.m[k]
-	ch.mu.Unlock()
-	return v, ok
+	defer ch.mu.Unlock()
+	return ch.verdicts.LookupVerdict(key)
 }
 
 // StoreVerdict memoizes a verdict scored on behalf of a wire peer — the
@@ -490,18 +480,16 @@ func (s *Server) LookupVerdict(key [32]byte) (float64, bool) {
 // as Submit, so wire-scored and locally-scored verdicts share one bounded
 // cache.
 func (s *Server) StoreVerdict(key [32]byte, score float64) {
-	k := frameKey(key)
-	ch := s.shardFor(k).cache.shard(k)
+	ch := s.shardFor(key).cache.shard(key)
 	ch.mu.Lock()
-	ch.put(k, score)
+	ch.verdicts.StoreVerdict(key, score)
 	ch.mu.Unlock()
 }
 
 // ResetCache drops all memoized verdicts (creative-rotation epoch).
+// In-flight leaders are left untouched.
 func (s *Server) ResetCache() {
-	for _, sh := range s.shards {
-		sh.cache.reset()
-	}
+	s.eachCacheShard(func(ch *cacheShard) { ch.verdicts.Reset() })
 }
 
 // result materializes a Result from a resolved request.
@@ -513,7 +501,7 @@ func (s *Server) result(r *request) Result {
 }
 
 // getRequest checks a pooled request out for one submission.
-func (s *Server) getRequest(frame *imaging.Bitmap, key frameKey) *request {
+func (s *Server) getRequest(frame *imaging.Bitmap, key [32]byte) *request {
 	r := s.reqPool.Get().(*request)
 	r.frame = frame
 	r.key = key
@@ -534,7 +522,7 @@ func (s *Server) putRequest(r *request) {
 // (ok=true) or the request to wait on.
 func (s *Server) begin(frame *imaging.Bitmap) (Result, bool, *request) {
 	s.met.Submitted.Inc()
-	key := hashFrame(frame)
+	key := imaging.ContentKey(frame)
 	shd := s.shardFor(key)
 	ch := shd.cache.shard(key)
 
@@ -546,7 +534,7 @@ func (s *Server) begin(frame *imaging.Bitmap) (Result, bool, *request) {
 	}
 
 	ch.mu.Lock()
-	if v, ok := ch.m[key]; ok {
+	if v, ok := ch.verdicts.LookupVerdict(key); ok {
 		ch.mu.Unlock()
 		s.closeMu.RUnlock()
 		s.met.CacheHits.Inc()
@@ -855,7 +843,7 @@ func (sh *shard) resolve(r *request, score float64) {
 	s.met.LatencyMS.Observe(float64(time.Since(r.enq).Nanoseconds()) / 1e6)
 	ch := sh.cache.shard(r.key)
 	ch.mu.Lock()
-	ch.put(r.key, score)
+	ch.verdicts.StoreVerdict(r.key, score)
 	if ch.pending[r.key] == r {
 		delete(ch.pending, r.key)
 	}

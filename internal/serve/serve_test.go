@@ -151,7 +151,8 @@ func TestCacheHitSkipsModel(t *testing.T) {
 // cache (LookupVerdict/StoreVerdict, keyed by imaging.ContentKey) must be
 // the same store Submit memoizes into — that identity is what lets a wire
 // peer answer a remote front's hash probe from verdicts the local serving
-// edge already produced, and vice versa.
+// edge already produced, and vice versa. Under DisableCache the view must
+// miss and store nothing.
 func TestVerdictCacheView(t *testing.T) {
 	s := testServer(t, core.Options{}, Options{Workers: 1})
 	f := synth.SampleFrames(29, 1)[0]
@@ -170,6 +171,20 @@ func TestVerdictCacheView(t *testing.T) {
 	res := s.Submit(g)
 	if res.Status != StatusCached || res.Score != 0.625 {
 		t.Fatalf("Submit after StoreVerdict got %+v, want cached 0.625", res)
+	}
+
+	// with memoization off, the view neither answers nor stores
+	off := testServer(t, core.Options{}, Options{Workers: 1, DisableCache: true})
+	off.Submit(f)
+	if v, ok := off.LookupVerdict(imaging.ContentKey(f)); ok {
+		t.Fatalf("DisableCache: LookupVerdict hit (%v) after Submit", v)
+	}
+	off.StoreVerdict(imaging.ContentKey(g), 0.625)
+	if off.CacheLen() != 0 {
+		t.Fatalf("DisableCache: StoreVerdict memoized %d entries", off.CacheLen())
+	}
+	if res := off.Submit(g); res.Status != StatusClassified {
+		t.Fatalf("DisableCache: Submit after StoreVerdict got %+v, want a model run", res)
 	}
 }
 
@@ -390,7 +405,7 @@ func TestSteadyStateSubmitDoesNotAllocate(t *testing.T) {
 func TestRaceStress(t *testing.T) {
 	s, err := New(testCore(t, core.Options{}), Options{
 		Workers: 4, MaxBatch: 4, Linger: 200 * time.Microsecond,
-		QueueDepth: 32, Deadline: time.Second, CacheSize: 64, CacheShards: 4,
+		QueueDepth: 32, Deadline: time.Second, CacheSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

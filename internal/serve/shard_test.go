@@ -8,6 +8,7 @@ import (
 
 	"percival/internal/core"
 	"percival/internal/engine"
+	"percival/internal/imaging"
 	"percival/internal/synth"
 )
 
@@ -21,17 +22,17 @@ func TestShardRoutingDeterminism(t *testing.T) {
 	}
 	frames := synth.SampleFrames(43, 32)
 	for i, f := range frames {
-		k := hashFrame(f)
+		k := imaging.ContentKey(f)
 		first := s.shardFor(k)
 		for rep := 0; rep < 3; rep++ {
-			if got := s.shardFor(hashFrame(f)); got != first {
+			if got := s.shardFor(imaging.ContentKey(f)); got != first {
 				t.Fatalf("frame %d: shard flapped %d -> %d", i, first.id, got.id)
 			}
 		}
 	}
 	seen := map[int]bool{}
 	for _, f := range frames {
-		seen[s.shardFor(hashFrame(f)).id] = true
+		seen[s.shardFor(imaging.ContentKey(f)).id] = true
 	}
 	if len(seen) < 2 {
 		t.Fatalf("32 distinct creatives landed on %d shard(s); range partition is degenerate", len(seen))
@@ -161,7 +162,7 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 	}
 
 	// restore into a fresh server with different shard/cache geometry
-	dst := testServer(t, core.Options{}, Options{Shards: 3, Workers: 3, CacheShards: 4})
+	dst := testServer(t, core.Options{}, Options{Shards: 3, Workers: 3})
 	m, err := dst.RestoreCache(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +208,7 @@ func TestCachePersistenceRoundTrip(t *testing.T) {
 func TestMultiShardRaceStress(t *testing.T) {
 	s, err := New(testCore(t, core.Options{}), Options{
 		Shards: 4, Workers: 4, MaxBatch: 4, Linger: 200 * time.Microsecond,
-		QueueDepth: 32, Deadline: time.Second, CacheSize: 64, CacheShards: 4,
+		QueueDepth: 32, Deadline: time.Second, CacheSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
