@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"image/color"
 	"runtime"
 	"sync"
@@ -163,6 +165,40 @@ func TestInspectFrameConcurrentSafety(t *testing.T) {
 	}
 }
 
+// memoKey is a content-style key for the verdict-memo tests below.
+func memoKey(i int) [32]byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(i))
+	return sha256.Sum256(b[:])
+}
+
+// TestVerdictCacheEviction checks the memo core keeps its scores in: it is
+// bounded, evicts oldest first, and an update in place keeps its size.
+func TestVerdictCacheEviction(t *testing.T) {
+	c := engine.NewVerdictMap(3)
+	for i := 0; i < 5; i++ {
+		c.StoreVerdict(memoKey(i), float64(i))
+	}
+	if c.Len() != 3 {
+		t.Fatalf("cache len %d, want 3", c.Len())
+	}
+	// oldest (0, 1) evicted; 2, 3, 4 remain
+	if _, ok := c.LookupVerdict(memoKey(0)); ok {
+		t.Fatal("key 0 should be evicted")
+	}
+	if v, ok := c.LookupVerdict(memoKey(4)); !ok || v != 4 {
+		t.Fatalf("key 4: %v %v", v, ok)
+	}
+	// overwrite existing key keeps size
+	c.StoreVerdict(memoKey(4), 0.25)
+	if v, _ := c.LookupVerdict(memoKey(4)); v != 0.25 {
+		t.Fatal("overwrite failed")
+	}
+	if c.Len() != 3 {
+		t.Fatal("overwrite changed size")
+	}
+}
+
 func TestModelSizeUnder2MB(t *testing.T) {
 	cfg := squeezenet.PaperConfig()
 	net, err := squeezenet.Build(cfg)
@@ -308,6 +344,55 @@ func TestClassifyBatchChunking(t *testing.T) {
 		single := p.Classify(frames[i])
 		if diff := batch[i] - single; diff > 1e-4 || diff < -1e-4 {
 			t.Fatalf("frame %d: batch %v single %v", i, batch[i], single)
+		}
+	}
+}
+
+// TestVerdictCacheZeroAndNegativeCapacity: a memo constructed with a
+// capacity <= 0 must behave as "memoization disabled" (a store is a no-op, a
+// lookup always misses) instead of panicking on the first eviction.
+func TestVerdictCacheZeroAndNegativeCapacity(t *testing.T) {
+	for _, max := range []int{0, -1, -4096} {
+		c := engine.NewVerdictMap(max)
+		for i := 0; i < 4; i++ {
+			c.StoreVerdict(memoKey(i), 1) // must not panic
+		}
+		if c.Len() != 0 {
+			t.Fatalf("max=%d: cache stored %d entries, want 0", max, c.Len())
+		}
+		if _, ok := c.LookupVerdict(memoKey(0)); ok {
+			t.Fatalf("max=%d: lookup hit on a disabled cache", max)
+		}
+	}
+}
+
+// TestVerdictCacheFIFOOrderDeterministic drives the memo through several
+// wrap-arounds and checks that eviction is exactly insertion-ordered: after
+// inserting keys 0..n-1 into a memo of capacity c, precisely the last c keys
+// remain, each with its own score, for every prefix length.
+func TestVerdictCacheFIFOOrderDeterministic(t *testing.T) {
+	const capacity = 4
+	c := engine.NewVerdictMap(capacity)
+	for i := 0; i < 3*capacity+1; i++ {
+		c.StoreVerdict(memoKey(i), float64(i))
+		oldest := i + 1 - capacity
+		if oldest < 0 {
+			oldest = 0
+		}
+		for j := 0; j <= i; j++ {
+			v, ok := c.LookupVerdict(memoKey(j))
+			if j < oldest {
+				if ok {
+					t.Fatalf("after %d inserts: key %d should be FIFO-evicted", i+1, j)
+				}
+				continue
+			}
+			if !ok {
+				t.Fatalf("after %d inserts: key %d missing (oldest live %d)", i+1, j, oldest)
+			}
+			if v != float64(j) {
+				t.Fatalf("key %d score corrupted", j)
+			}
 		}
 	}
 }

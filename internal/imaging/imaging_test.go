@@ -238,6 +238,27 @@ func TestPrepareInputShape(t *testing.T) {
 	}
 }
 
+func TestContentHashDistinguishesAndRepeats(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	a := randBitmap(rng, 16, 16)
+	if ContentKey(a) != ContentKey(a) {
+		t.Fatal("repeated keying of one bitmap must agree")
+	}
+	b := a.Clone()
+	if ContentKey(a) != ContentKey(b) {
+		t.Fatal("identical bitmaps must key equal")
+	}
+	b.Set(3, 3, red)
+	if ContentKey(a) == ContentKey(b) {
+		t.Fatal("different bitmaps keyed equal")
+	}
+	// dimension change with same bytes must differ
+	c := &Bitmap{W: 8, H: 32, Pix: append([]uint8(nil), a.Pix...)}
+	if ContentKey(a) == ContentKey(c) {
+		t.Fatal("dimension change should alter key")
+	}
+}
+
 func TestPerceptualHashToleratesRescale(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// structured image: gradient + rect, so the aHash has signal
